@@ -7,13 +7,17 @@
 //! count, and the repack (gather) cost itself — plus the other hot ViT
 //! shapes the packed microkernels target: the MLP fc1 expansion
 //! (197×192 · 192×576), the per-head attention-score product Q·Kᵀ, and the
-//! int8 counterparts of all three. The README's "Kernel performance" table
-//! is produced from these entries.
+//! int8 counterparts of all three — `qmatmul_with`, which packs `B` on every
+//! call, plus the fc1 product through a `QLinear`, whose weight is packed
+//! once at construction (what the int8 model runs). The README's "Kernel
+//! performance" table is produced from these entries.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use heatvit_bench::token_matrix;
-use heatvit_quant::{qmatmul_transb_with, qmatmul_with, QTensor};
+use heatvit_nn::layers::Linear;
+use heatvit_quant::{qmatmul_transb_with, qmatmul_with, QLinear, QTensor};
 use heatvit_tensor::Tensor;
+use rand::{rngs::StdRng, SeedableRng};
 
 const TOKENS: usize = 197;
 const DIM: usize = 192;
@@ -83,6 +87,15 @@ fn bench_int8_gemm(c: &mut Criterion) {
     });
     c.bench_function("gemm/int8 attn scores Q.K^T 197x64", |b| {
         b.iter(|| qmatmul_transb_with(black_box(&q), black_box(&k), &mut pack, &mut out))
+    });
+    let fc1 = QLinear::from_linear(&Linear::new(
+        DIM,
+        HIDDEN,
+        false,
+        &mut StdRng::seed_from_u64(11),
+    ));
+    c.bench_function("gemm/int8 qlinear fc1 pre-packed 197x192 . 192x576", |b| {
+        b.iter(|| fc1.infer_quantized_into(black_box(&x), &mut out))
     });
 }
 

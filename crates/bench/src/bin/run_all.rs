@@ -22,8 +22,10 @@
 //! The `fpga-ms` column is the `heatvit-fpga` cycle model's prediction for
 //! one image on the paper's ZCU102 tiled-GEMM geometry — the accelerator
 //! latency the cost profiles imply, printed beside host wall-clock so the
-//! two cost orderings can be compared (they differ: int8 packing wins
-//! cycles on DSPs but loses wall-clock on the host's float units).
+//! two cost orderings can be compared. How the int8 rows fare on the host
+//! depends on its CPU: the header's `int8 kernel:` line (also
+//! `"int8_kernel"` in the JSON report) says whether the AVX-512 VNNI kernel
+//! or the portable scalar one produced them.
 //!
 //! Before timing, the binary asserts batched/single parity for every
 //! variant and sharded/sequential parity for the multi-threaded engine, so
@@ -180,9 +182,11 @@ fn main() {
     let cores = heatvit::EngineConfig::auto().threads.resolve();
     println!(
         "heatvit run_all: micro backbone, {} synthetic 32x32 images per batch, \
-         {PAR_THREADS}-thread shard on {cores} hardware thread(s)\n",
+         {PAR_THREADS}-thread shard on {cores} hardware thread(s)",
         images.len()
     );
+    let int8_kernel = heatvit_quant::int8_kernel();
+    println!("int8 kernel: {int8_kernel}\n");
 
     // One registry spans every measured engine: the embedded telemetry
     // snapshot carries per-variant batch/image/inference-time counters
@@ -311,6 +315,7 @@ fn main() {
         .int("batch", images.len() as u64)
         .int("par_threads", PAR_THREADS as u64)
         .int("hardware_threads", cores as u64)
+        .str("int8_kernel", int8_kernel)
         .raw("backends", backends)
         .metrics("telemetry", &registry.snapshot())
         .write_if_requested();

@@ -86,8 +86,13 @@ use std::time::{Duration, Instant};
 
 /// Distinct images cycled by the generator (and the parity reference).
 const IMAGE_POOL: usize = 16;
-const DEFAULT_REQUESTS: usize = 96;
-const QUICK_REQUESTS: usize = 32;
+/// Requests per closed-loop run. Sized so that a run at the fastest
+/// backend's full capacity (≈13 k img/s for the int8 micro model) still
+/// spans tens of milliseconds: the offered-rate gate compares the submit
+/// window with the schedule, and one lost scheduler quantum must not be a
+/// tenth of that window.
+const DEFAULT_REQUESTS: usize = 384;
+const QUICK_REQUESTS: usize = 128;
 /// Arrival-rate sweep as fractions of measured offline batch capacity.
 const SWEEP: [f64; 3] = [0.25, 0.5, 1.0];
 const QUICK_SWEEP: [f64; 2] = [0.5, 1.0];

@@ -59,14 +59,14 @@ pub fn exp_poly(p: f32) -> f32 {
 }
 
 /// Largest shift count applied by [`exp_shift`]. Beyond 126 bits the true
-/// `exp(x̃)` sits below `f32::MIN_POSITIVE` anyway, and `2^z` would overflow
-/// to infinity at `z = 128` — so the result is flushed to exactly `0.0`.
+/// `exp(x̃)` sits below `f32::MIN_POSITIVE` anyway, and `2⁻ᶻ` stops being a
+/// normal `f32` at `z = 127` — so the result is flushed to exactly `0.0`.
 pub const EXP_SHIFT_MAX: f32 = 126.0;
 
 /// Inputs this far below the row max are flushed to exactly `0.0` by
-/// [`softmax_approx_rows`] without evaluating [`exp_shift`]. The cutoff is
-/// `ln(f32::MIN_POSITIVE) ≈ −87.3`: anything below contributes nothing to a
-/// row sum that is always ≥ `exp̃(0) ≈ 1`, and masked attention scores
+/// [`softmax_approx_rows`] whatever [`exp_shift`] makes of them. The cutoff
+/// is `ln(f32::MIN_POSITIVE) ≈ −87.3`: anything below contributes nothing to
+/// a row sum that is always ≥ `exp̃(0) ≈ 1`, and masked attention scores
 /// (`heatvit-vit`'s `MASK_PENALTY = −1e4`) land far past it.
 pub const SOFTMAX_FLUSH: f32 = -87.0;
 
@@ -78,17 +78,29 @@ pub const SOFTMAX_FLUSH: f32 = -87.0;
 /// `x − x_max`). Out-of-domain inputs are handled instead of producing
 /// garbage: positive inputs clamp to the domain edge `exp̃(0)`, and inputs so
 /// negative that the shift leaves the `f32` exponent range
-/// ([`EXP_SHIFT_MAX`] bits) flush to exactly `0.0` rather than sending `2^z`
-/// through `powi` overflow.
+/// ([`EXP_SHIFT_MAX`] bits) flush to exactly `0.0`.
+///
+/// Straight-line code, so a loop over it vectorizes: `z` comes from a
+/// truncating cast (`−x̃/ln2 ≥ 0`, where truncation is `floor`), `2⁻ᶻ` is
+/// assembled from its exponent bits, and the flush is a select. Multiplying
+/// by the exact power of two `2⁻ᶻ` rounds like dividing by `2ᶻ` does, so
+/// the result is bit-for-bit that of the `floor`/`powi` definition (kept as
+/// the tests' reference).
 pub fn exp_shift(x_tilde: f32) -> f32 {
+    const MAX_SHIFT: i32 = EXP_SHIFT_MAX as i32;
     let x = x_tilde.min(0.0);
-    let z = (-x / std::f32::consts::LN_2).floor();
-    if z > EXP_SHIFT_MAX {
-        return 0.0;
+    // Saturating cast: −∞ gives i32::MAX, which the select below flushes.
+    let z = (-x / std::f32::consts::LN_2) as i32;
+    let shift = z.min(MAX_SHIFT);
+    let p = x + shift as f32 * std::f32::consts::LN_2;
+    // exp(p) >> shift
+    let pow = f32::from_bits(((127 - shift) as u32) << 23);
+    let y = exp_poly(p) * pow;
+    if z > MAX_SHIFT {
+        0.0
+    } else {
+        y
     }
-    let p = x + z * std::f32::consts::LN_2;
-    // exp(p) >> z
-    exp_poly(p) / (2.0f32).powi(z as i32)
 }
 
 /// Approximated softmax over each row (paper Eq. 13):
@@ -121,16 +133,14 @@ pub fn softmax_approx_rows_inplace(x: &mut Tensor, delta2: f32) {
     let cols = x.dim(1);
     for row in x.data_mut().chunks_mut(cols) {
         let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0f32;
+        // Branch-free per element, so the pass vectorizes; the sum runs as
+        // its own left-to-right pass to keep its rounding order.
         for v in row.iter_mut() {
             let shifted = *v - max;
-            *v = if shifted <= SOFTMAX_FLUSH {
-                0.0
-            } else {
-                exp_shift(shifted)
-            };
-            sum += *v;
+            let e = exp_shift(shifted);
+            *v = if shifted <= SOFTMAX_FLUSH { 0.0 } else { e };
         }
+        let sum = row.iter().fold(0.0f32, |acc, &e| acc + e);
         for v in row.iter_mut() {
             *v = delta2 * *v / sum;
         }
@@ -171,6 +181,145 @@ pub fn gelu_approx_inplace(x: &mut Tensor, delta1: f32) {
 mod tests {
     use super::*;
     use heatvit_tensor::scalar;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// [`exp_shift`] as first written — `floor`, an early return and a
+    /// `powi` division: the definition the branch-free form is pinned to.
+    fn exp_shift_reference(x_tilde: f32) -> f32 {
+        let x = x_tilde.min(0.0);
+        let z = (-x / std::f32::consts::LN_2).floor();
+        if z > EXP_SHIFT_MAX {
+            return 0.0;
+        }
+        let p = x + z * std::f32::consts::LN_2;
+        exp_poly(p) / (2.0f32).powi(z as i32)
+    }
+
+    /// [`softmax_approx_rows_inplace`] as first written, on the reference
+    /// exponent.
+    fn softmax_reference(x: &Tensor, delta2: f32) -> Tensor {
+        let mut out = x.clone();
+        let cols = out.dim(1);
+        for row in out.data_mut().chunks_mut(cols) {
+            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let mut sum = 0.0f32;
+            for v in row.iter_mut() {
+                let shifted = *v - max;
+                *v = if shifted <= SOFTMAX_FLUSH {
+                    0.0
+                } else {
+                    exp_shift_reference(shifted)
+                };
+                sum += *v;
+            }
+            for v in row.iter_mut() {
+                *v = delta2 * *v / sum;
+            }
+        }
+        out
+    }
+
+    fn assert_same_bits(x: f32) {
+        let (got, want) = (exp_shift(x), exp_shift_reference(x));
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "x={x:e}: {got:e} vs {want:e}"
+        );
+    }
+
+    #[test]
+    fn exp_shift_is_bit_identical_to_its_floor_powi_definition() {
+        // A dense sweep of the domain softmax feeds it, at a step that is
+        // not a multiple of ln2 so every fractional position is visited...
+        let mut x = 0.0f32;
+        while x >= -100.0 {
+            assert_same_bits(x);
+            x -= 3.1e-5;
+        }
+        // ...every multiple of ln2 and its two neighbours, where z steps...
+        for z in 0..=140 {
+            let edge = -(z as f32) * std::f32::consts::LN_2;
+            for x in [
+                edge,
+                f32::from_bits(edge.to_bits() + 1),
+                f32::from_bits(edge.to_bits().saturating_sub(1)),
+            ] {
+                assert_same_bits(x);
+            }
+        }
+        // ...and everything off the domain: positives clamp, the deeply
+        // negative flush, NaN reads as the domain edge, as before.
+        for x in [
+            -0.0,
+            1e-6,
+            0.3,
+            5.0,
+            1e4,
+            f32::MAX,
+            f32::INFINITY,
+            -87.0,
+            -87.3,
+            -88.0,
+            -89.0,
+            -200.0,
+            -1e4,
+            -1e10,
+            f32::MIN,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+        ] {
+            assert_same_bits(x);
+        }
+        assert_eq!(exp_shift(f32::NEG_INFINITY), 0.0);
+        assert_eq!(exp_shift(f32::NAN), exp_shift(0.0));
+    }
+
+    #[test]
+    fn softmax_approx_is_bit_identical_to_its_definition() {
+        const MASK_PENALTY: f32 = -1e4; // mirrors crates/vit/src/attention.rs
+        let mut rng = StdRng::seed_from_u64(40);
+        // DeiT-T's score matrix shape, at scales from flat to peaked rows.
+        for (scale, delta2) in [(0.1f32, 1.0f32), (1.0, 0.5), (8.0, 1.0), (40.0, 0.5)] {
+            let x = Tensor::rand_normal(&[197, 197], 0.0, scale, &mut rng);
+            let got = softmax_approx_rows(&x, delta2);
+            let want = softmax_reference(&x, delta2);
+            let same = got
+                .data()
+                .iter()
+                .zip(want.data())
+                .all(|(g, w)| g.to_bits() == w.to_bits());
+            assert!(same, "scale {scale} δ₂ {delta2}");
+        }
+        // Masked columns, a fully masked row, and a row holding −∞.
+        let masked = Tensor::from_vec(
+            vec![
+                0.4,
+                1.0 + MASK_PENALTY,
+                -0.2,
+                0.1 + MASK_PENALTY,
+                MASK_PENALTY,
+                MASK_PENALTY,
+                MASK_PENALTY,
+                MASK_PENALTY,
+                0.0,
+                f32::NEG_INFINITY,
+                -90.0,
+                -86.9,
+            ],
+            &[3, 4],
+        );
+        for delta2 in [1.0f32, 0.5] {
+            let got = softmax_approx_rows(&masked, delta2);
+            let want = softmax_reference(&masked, delta2);
+            for (g, w) in got.data().iter().zip(want.data()) {
+                assert_eq!(g.to_bits(), w.to_bits());
+            }
+        }
+    }
 
     #[test]
     fn erf_approx_tracks_exact_erf_at_delta_one() {

@@ -45,8 +45,8 @@ mod qvit;
 mod scratch;
 
 pub use qgemm::{
-    qmatmul, qmatmul_into, qmatmul_transb, qmatmul_transb_into, qmatmul_transb_with, qmatmul_with,
-    qpack_b, qpack_b_t, qpacked_len, QLinear, QMR, QNR,
+    int8_kernel, qmatmul, qmatmul_into, qmatmul_transb, qmatmul_transb_into, qmatmul_transb_with,
+    qmatmul_with, qpack_b, qpack_b_t, qpacked_len, QLinear, QMR, QNR,
 };
 pub use qtensor::{fake_quantize, QTensor, QuantParams};
 pub use qvit::{packed_macs, QuantInference, QuantPruneStage, QuantizedViT, DSP_PACKING_FACTOR};

@@ -4,15 +4,44 @@
 //! back to float by the product of the operand scales. The paper's claimed
 //! ~1.9× speedup from 8-bit quantization comes precisely from packing two
 //! such MACs per DSP slice; the cycle model in `heatvit-fpga` charges it
-//! that way.
+//! that way. On a CPU the same packing is AVX-512 VNNI's `vpdpbusd`: four
+//! byte products summed into each of sixteen `i32` lanes per instruction.
 //!
-//! Like the float path in `heatvit-tensor`, the int8 kernels are cache
-//! blocked: `B` is packed into zero-padded [`QNR`]-wide column panels and a
-//! [`QMR`]`×`[`QNR`] widened-`i32` accumulator tile is driven by
-//! `chunks_exact` inner loops with no per-element branching. `A·B` and
-//! `A·Bᵀ` share the microkernel after packing. Integer accumulation is
-//! exact, so any blocking order produces bit-identical results — the int8
-//! path keeps every historical equality guarantee for free.
+//! # Packed layout
+//!
+//! `B` (`k×n`) is cut into panels of [`QNR`]` = 16` columns. A panel is
+//!
+//! ```text
+//! [ 16 × i32 column sums ][ group 0 ][ group 1 ] … [ group ⌈k/4⌉−1 ]
+//!        64 bytes           64 bytes each: [16 columns][4 consecutive k]
+//! ```
+//!
+//! so one k-group is one 64-byte vector holding, for each of the panel's 16
+//! columns, that column's next four `k` values. Columns past `n` and `k`
+//! values past `k` are zero. The header lives in the same `Vec<i8>` (native
+//! byte order), which is why [`qmatmul_with`] still takes one `pack` buffer.
+//! [`qpack_b`] and [`qpack_b_t`] produce the layout from a row-major `B` or
+//! `Bᵀ`; [`QLinear`] does it once, when the layer is built.
+//!
+//! # Two kernels, one layout
+//!
+//! * **AVX-512 VNNI** (x86-64 CPUs that report `avx512f`, `avx512bw` and
+//!   `avx512vnni` at run time): a [`QMR`]`×`[`QNR`] tile of `vpdpbusd`
+//!   accumulators. The instruction multiplies *unsigned* bytes by signed
+//!   ones, so the kernel feeds it `a ^ 0x80` (`= a + 128` as a `u8`) and
+//!   starts each accumulator at `−128 · colsum[j]` from the panel header:
+//!   `Σ (a+128)·b − 128·Σ b = Σ a·b`, exactly, in `i32`.
+//! * **Portable**: a scalar loop over the same panels, for every other
+//!   target. It ignores the header.
+//!
+//! Which one runs is a fact about the CPU ([`int8_kernel`] names it), not a
+//! setting. Integer accumulation is exact, so both kernels — and any
+//! blocking order — give bit-identical results as long as nothing
+//! overflows: the true sum needs `k · 127² ≤ i32::MAX`, and the offset form
+//! above additionally keeps every partial sum in range while
+//! `k · (255·128 + 128·128) ≤ i32::MAX`, i.e. `k ≤ 43 690`
+//! (`VNNI_MAX_K`; DeiT-T's largest `k` is 768). Longer reductions take the
+//! portable kernel.
 
 use crate::qtensor::QTensor;
 use heatvit_tensor::Tensor;
@@ -25,93 +54,302 @@ pub const QMR: usize = 4;
 /// tile (paper Fig. 8a).
 pub const QNR: usize = 16;
 
-/// Number of `i8` slots [`qpack_b`] needs for a `k×n` operand.
-pub fn qpacked_len(k: usize, n: usize) -> usize {
-    n.div_ceil(QNR) * k * QNR
+/// Consecutive `k` values stored together per column: the four bytes one
+/// `vpdpbusd` lane consumes.
+const QKG: usize = 4;
+
+/// Bytes in one k-group of a panel (one 512-bit vector).
+const GROUP: usize = QNR * QKG;
+
+/// Bytes in a panel's header of [`QNR`] `i32` column sums.
+const HEADER: usize = QNR * std::mem::size_of::<i32>();
+
+/// Largest reduction length the VNNI kernel accepts: beyond it a partial
+/// sum of the offset form could leave `i32` (see the module docs).
+const VNNI_MAX_K: usize = i32::MAX as usize / (255 * 128 + 128 * 128);
+
+/// Bytes in one packed panel of a `k`-row operand.
+fn panel_len(k: usize) -> usize {
+    HEADER + k.div_ceil(QKG) * GROUP
 }
 
-/// Packs a row-major `k×n` int8 matrix into [`QNR`]-wide column panels
-/// (zero-padded), the integer twin of `heatvit_tensor::pack_b`.
+/// Number of `i8` slots [`qpack_b`] needs for a `k×n` operand.
+pub fn qpacked_len(k: usize, n: usize) -> usize {
+    n.div_ceil(QNR) * panel_len(k)
+}
+
+fn write_column_sums(header: &mut [i8], sums: &[i32; QNR]) {
+    for (dst, sum) in header.chunks_exact_mut(4).zip(sums) {
+        for (d, byte) in dst.iter_mut().zip(sum.to_ne_bytes()) {
+            *d = byte as i8;
+        }
+    }
+}
+
+/// Packs a row-major `k×n` int8 matrix into the panel layout of the module
+/// docs (zero-padded, column sums in each panel's header).
 pub fn qpack_b(b: &[i8], k: usize, n: usize, pack: &mut Vec<i8>) {
     debug_assert_eq!(b.len(), k * n);
     pack.clear();
     pack.resize(qpacked_len(k, n), 0);
-    if k == 0 || n == 0 {
-        return;
-    }
-    for (pi, panel) in pack.chunks_exact_mut(k * QNR).enumerate() {
+    let zero = [0i8; QNR];
+    for (pi, panel) in pack.chunks_exact_mut(panel_len(k)).enumerate() {
         let j0 = pi * QNR;
         let jn = QNR.min(n - j0);
-        for (dst, src) in panel.chunks_exact_mut(QNR).zip(b[j0..].chunks(n)) {
-            dst[..jn].copy_from_slice(&src[..jn]);
+        let (header, groups) = panel.split_at_mut(HEADER);
+        let mut sums = [0i32; QNR];
+        for (g, group) in groups.chunks_exact_mut(GROUP).enumerate() {
+            // The group's four source rows (zeros past the last one),
+            // interleaved column by column.
+            let row = |t: usize| match g * QKG + t {
+                p if p < k => &b[p * n + j0..][..jn],
+                _ => &zero[..jn],
+            };
+            let (r0, r1, r2, r3) = (row(0), row(1), row(2), row(3));
+            for (c, dst) in group.chunks_exact_mut(QKG).take(jn).enumerate() {
+                dst.copy_from_slice(&[r0[c], r1[c], r2[c], r3[c]]);
+                sums[c] += r0[c] as i32 + r1[c] as i32 + r2[c] as i32 + r3[c] as i32;
+            }
         }
+        write_column_sums(header, &sums);
     }
 }
 
 /// Packs the transpose of a row-major `n×k` int8 matrix (`bt` stores `Bᵀ`)
-/// into the same panel layout as [`qpack_b`].
+/// into the same panel layout as [`qpack_b`]: a column of `B` is a row of
+/// `bt`, so each k-group of a column is one contiguous 4-byte copy.
 pub fn qpack_b_t(bt: &[i8], n: usize, k: usize, pack: &mut Vec<i8>) {
     debug_assert_eq!(bt.len(), n * k);
     pack.clear();
     pack.resize(qpacked_len(k, n), 0);
-    if k == 0 || n == 0 {
+    if k == 0 {
         return;
     }
-    for (pi, panel) in pack.chunks_exact_mut(k * QNR).enumerate() {
-        let j0 = pi * QNR;
-        let jn = QNR.min(n - j0);
-        for (c, src_row) in bt[j0 * k..(j0 + jn) * k].chunks_exact(k).enumerate() {
-            for (dst, &v) in panel.chunks_exact_mut(QNR).zip(src_row.iter()) {
-                dst[c] = v;
+    for (panel, cols) in pack.chunks_exact_mut(panel_len(k)).zip(bt.chunks(QNR * k)) {
+        let (header, groups) = panel.split_at_mut(HEADER);
+        let mut sums = [0i32; QNR];
+        for (c, col) in cols.chunks_exact(k).enumerate() {
+            for (group, word) in groups.chunks_exact_mut(GROUP).zip(col.chunks(QKG)) {
+                group[c * QKG..][..word.len()].copy_from_slice(word);
+            }
+            sums[c] = col.iter().map(|&v| v as i32).sum();
+        }
+        write_column_sums(header, &sums);
+    }
+}
+
+/// The [`QMR`] rows of one tile of `A` (`a_rows` holds up to [`QMR`] rows of
+/// `k` values). A short last tile repeats its final row, so both kernels
+/// always compute a whole tile and simply do not store the repeats.
+fn tile_rows(a_rows: &[i8], k: usize) -> [&[i8]; QMR] {
+    let live = a_rows.len() / k;
+    std::array::from_fn(|r| &a_rows[r.min(live - 1) * k..][..k])
+}
+
+/// The portable int8 kernel: a scalar `i32` loop over the packed panels in
+/// [`QMR`]`×`[`QNR`] tiles, shaped so the compiler can vectorize it (each
+/// k-group is widened and split into four 16-column planes once per tile,
+/// then scaled by each row's four `a` values). Requires `k > 0` and `n > 0`.
+fn qgemm_portable(a: &[i8], k: usize, pack: &[i8], n: usize, rescale: f32, c: &mut [f32]) {
+    for (a_rows, out_rows) in a.chunks(QMR * k).zip(c.chunks_mut(QMR * n)) {
+        let rows = tile_rows(a_rows, k);
+        for (panel, out_cols) in pack.chunks_exact(panel_len(k)).zip((0..n).step_by(QNR)) {
+            let mut acc = [[0i32; QNR]; QMR];
+            for (g, group) in panel[HEADER..].chunks_exact(GROUP).enumerate() {
+                // `planes[t][c]` is column c's t-th value of this k-group.
+                let mut planes = [[0i32; QNR]; QKG];
+                for (c, b_word) in group.chunks_exact(QKG).enumerate() {
+                    for (plane, &bv) in planes.iter_mut().zip(b_word) {
+                        plane[c] = bv as i32;
+                    }
+                }
+                let [p0, p1, p2, p3] = planes;
+                for (row, sums) in rows.iter().zip(&mut acc) {
+                    // The row's k-word, zero-padded past `k`.
+                    let mut a_word = [0i32; QKG];
+                    for (w, &v) in a_word.iter_mut().zip(&row[g * QKG..]) {
+                        *w = v as i32;
+                    }
+                    for (c, sum) in sums.iter_mut().enumerate() {
+                        *sum += a_word[0] * p0[c]
+                            + a_word[1] * p1[c]
+                            + a_word[2] * p2[c]
+                            + a_word[3] * p3[c];
+                    }
+                }
+            }
+            for (out_row, sums) in out_rows.chunks_exact_mut(n).zip(&acc) {
+                for (o, &v) in out_row[out_cols..].iter_mut().zip(sums) {
+                    *o = v as f32 * rescale;
+                }
             }
         }
     }
 }
 
-/// Full [`QMR`]-row int8 microkernel over one packed panel: widened `i32`
-/// accumulators stay in registers; each loaded panel row is reused [`QMR`]
-/// times.
-#[inline(always)]
-fn qmicro_full(a: [&[i8]; QMR], panel: &[i8], acc: &mut [[i32; QNR]; QMR]) {
-    let [a0, a1, a2, a3] = a;
-    let [c0, c1, c2, c3] = acc;
-    for ((((bp, &v0), &v1), &v2), &v3) in panel
-        .chunks_exact(QNR)
-        .zip(a0.iter())
-        .zip(a1.iter())
-        .zip(a2.iter())
-        .zip(a3.iter())
-    {
-        let (v0, v1, v2, v3) = (v0 as i32, v1 as i32, v2 as i32, v3 as i32);
-        for j in 0..QNR {
-            let bv = bp[j] as i32;
-            c0[j] += v0 * bv;
-            c1[j] += v1 * bv;
-            c2[j] += v2 * bv;
-            c3[j] += v3 * bv;
+#[cfg(target_arch = "x86_64")]
+mod vnni {
+    //! The AVX-512 VNNI int8 kernel (see the parent module's docs for the
+    //! layout and the signed→unsigned offset).
+
+    use super::{panel_len, tile_rows, GROUP, HEADER, QKG, QMR, QNR};
+    use std::arch::x86_64::{
+        __m512i, __mmask16, _mm512_add_epi32, _mm512_cvtepi32_ps, _mm512_dpbusd_epi32,
+        _mm512_loadu_si512, _mm512_mask_storeu_ps, _mm512_mul_ps, _mm512_mullo_epi32,
+        _mm512_set1_epi32, _mm512_set1_ps, _mm512_setzero_si512,
+    };
+
+    /// `true` when the running CPU has every feature [`qgemm`] is compiled
+    /// for.
+    pub(super) fn available() -> bool {
+        is_x86_feature_detected!("avx512f")
+            && is_x86_feature_detected!("avx512bw")
+            && is_x86_feature_detected!("avx512vnni")
+    }
+
+    #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+    fn load(bytes: &[i8; GROUP]) -> __m512i {
+        // SAFETY: `bytes` is exactly the 64 readable bytes an unaligned
+        // 512-bit load touches.
+        unsafe { _mm512_loadu_si512(bytes.as_ptr().cast()) }
+    }
+
+    /// The `t`-th 4-byte word of `bytes` with every sign bit flipped: the
+    /// four `a` values as the unsigned `a + 128` that `vpdpbusd` wants.
+    /// Flipped on the scalar, not with a vector XOR after the broadcast:
+    /// at `target-cpu=native` on AVX-512 hosts the vector form sends rustc
+    /// into a minutes-long compile.
+    #[inline(always)]
+    fn biased_word(bytes: &[i8], t: usize) -> i32 {
+        let word: [i8; QKG] = bytes[t * QKG..][..QKG]
+            .try_into()
+            .expect("slice of QKG bytes");
+        i32::from_ne_bytes(word.map(|v| v as u8)) ^ 0x8080_8080u32 as i32
+    }
+
+    /// `acc[r] += Σₜ (a_r[t] + 128) · b[·][t]` for the four rows of a tile.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+    fn accumulate(acc: &mut [__m512i; QMR], words: [i32; QMR], b: __m512i) {
+        for (sum, word) in acc.iter_mut().zip(words) {
+            *sum = _mm512_dpbusd_epi32(*sum, _mm512_set1_epi32(word), b);
         }
     }
-}
 
-/// Remainder-row int8 microkernel for the final tile when `m % QMR != 0`.
-#[inline(always)]
-fn qmicro_tail(a_rows: &[i8], mr: usize, k: usize, panel: &[i8], acc: &mut [[i32; QNR]; QMR]) {
-    for (arow, accr) in a_rows.chunks_exact(k).take(mr).zip(acc.iter_mut()) {
-        for (&av, bp) in arow.iter().zip(panel.chunks_exact(QNR)) {
-            let av = av as i32;
-            for (c, &bv) in accr.iter_mut().zip(bp.iter()) {
-                *c += av * bv as i32;
+    /// One [`QMR`]`×`[`QNR`] tile: the exact `i32` sums `Σ a·b` of four `a`
+    /// rows against one packed panel. Two accumulator sets (even and odd
+    /// k-groups) keep eight independent `vpdpbusd` chains in flight.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+    fn tile(rows: [&[i8]; QMR], k: usize, panel: &[i8]) -> [__m512i; QMR] {
+        let (header, groups) = panel
+            .split_first_chunk::<HEADER>()
+            .expect("panel starts with its header");
+        let bias = _mm512_mullo_epi32(load(header), _mm512_set1_epi32(-128));
+        let mut even = [bias; QMR];
+        let mut odd = [_mm512_setzero_si512(); QMR];
+        let [r0, r1, r2, r3] = rows.map(|row| row.chunks_exact(2 * QKG));
+        let whole = k / (2 * QKG);
+        for ((((pair, a0), a1), a2), a3) in groups
+            .chunks_exact(2 * GROUP)
+            .zip(r0)
+            .zip(r1)
+            .zip(r2)
+            .zip(r3)
+        {
+            let (b_even, b_odd) = pair
+                .split_first_chunk::<GROUP>()
+                .expect("two groups per pair");
+            let b_odd = b_odd.first_chunk::<GROUP>().expect("two groups per pair");
+            let a = [a0, a1, a2, a3];
+            accumulate(&mut even, a.map(|w| biased_word(w, 0)), load(b_even));
+            accumulate(&mut odd, a.map(|w| biased_word(w, 1)), load(b_odd));
+        }
+        // The last one or two groups when `k` is not a multiple of eight:
+        // the rows' leftover bytes, zero-padded to two words (a padded `a`
+        // byte meets a zero in the panel, so it adds nothing).
+        let mut rest = groups[whole * 2 * GROUP..].chunks_exact(GROUP);
+        if let Some(b_even) = rest.next() {
+            let tails = rows.map(|row| {
+                let left = &row[whole * 2 * QKG..];
+                let mut padded = [0i8; 2 * QKG];
+                padded[..left.len()].copy_from_slice(left);
+                padded
+            });
+            let b_even = b_even.first_chunk::<GROUP>().expect("whole group");
+            accumulate(&mut even, tails.map(|w| biased_word(&w, 0)), load(b_even));
+            if let Some(b_odd) = rest.next() {
+                let b_odd = b_odd.first_chunk::<GROUP>().expect("whole group");
+                accumulate(&mut odd, tails.map(|w| biased_word(&w, 1)), load(b_odd));
+            }
+        }
+        let mut sums = even;
+        for (sum, extra) in sums.iter_mut().zip(odd) {
+            *sum = _mm512_add_epi32(*sum, extra);
+        }
+        sums
+    }
+
+    /// `c = (A·B)·rescale` over a packed `B`; same contract as the portable
+    /// kernel, plus `k ≤ VNNI_MAX_K`.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+    pub(super) fn qgemm(a: &[i8], k: usize, pack: &[i8], n: usize, rescale: f32, c: &mut [f32]) {
+        let scale = _mm512_set1_ps(rescale);
+        for (a_rows, out_rows) in a.chunks(QMR * k).zip(c.chunks_mut(QMR * n)) {
+            let rows = tile_rows(a_rows, k);
+            for (pi, panel) in pack.chunks_exact(panel_len(k)).enumerate() {
+                let j0 = pi * QNR;
+                let width = QNR.min(n - j0);
+                // The low `width` lanes; none if a caller's `pack` held a
+                // panel past column `n`.
+                let mask: __mmask16 = u16::MAX.checked_shr((QNR - width) as u32).unwrap_or(0);
+                let sums = tile(rows, k, panel);
+                for (out_row, sum) in out_rows.chunks_exact_mut(n).zip(sums) {
+                    let dst = &mut out_row[j0..j0 + width];
+                    let values = _mm512_mul_ps(_mm512_cvtepi32_ps(sum), scale);
+                    // SAFETY: the mask enables exactly `dst.len()` lanes, so
+                    // the store writes `dst` and nothing else.
+                    unsafe { _mm512_mask_storeu_ps(dst.as_mut_ptr(), mask, values) };
+                }
             }
         }
     }
 }
 
-/// Blocked int8 GEMM over a pre-packed `B`: dequantizes the widened `i32`
-/// accumulator tile straight into the float output (`c = (A·B)·rescale`,
-/// rows fully overwritten).
+/// A kernel's entry point: `c = (A·B)·rescale` for `a` (`m×k`, `m` implied
+/// by its length), a packed `k×n` `B`, and `k, n > 0`.
+type Kernel = fn(a: &[i8], k: usize, pack: &[i8], n: usize, rescale: f32, c: &mut [f32]);
+
+/// The VNNI kernel, on CPUs that can run it.
+fn vnni_kernel() -> Option<Kernel> {
+    #[cfg(target_arch = "x86_64")]
+    if vnni::available() {
+        fn entry(a: &[i8], k: usize, pack: &[i8], n: usize, rescale: f32, c: &mut [f32]) {
+            // SAFETY: this function is only handed out two lines below,
+            // after `available` confirmed the CPU features the kernel is
+            // compiled for.
+            unsafe { vnni::qgemm(a, k, pack, n, rescale, c) }
+        }
+        return Some(entry);
+    }
+    None
+}
+
+/// The int8 GEMM kernel this process runs: `"avx512-vnni"` on x86-64 CPUs
+/// with AVX-512 VNNI, `"portable"` everywhere else. Detected from the CPU at
+/// run time; there is nothing to configure.
+pub fn int8_kernel() -> &'static str {
+    match vnni_kernel() {
+        Some(_) => "avx512-vnni",
+        None => "portable",
+    }
+}
+
+/// Blocked int8 GEMM over a pre-packed `B`: dequantizes the `i32` sums
+/// straight into the float output (`c = (A·B)·rescale`, rows fully
+/// overwritten).
 fn qgemm_packed(a: &[i8], m: usize, k: usize, pack: &[i8], n: usize, rescale: f32, c: &mut [f32]) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(c.len(), m * n);
+    debug_assert_eq!(pack.len(), qpacked_len(k, n));
     if m == 0 || n == 0 {
         return;
     }
@@ -119,32 +357,10 @@ fn qgemm_packed(a: &[i8], m: usize, k: usize, pack: &[i8], n: usize, rescale: f3
         c.fill(0.0);
         return;
     }
-    for (a_rows, out_rows) in a.chunks(QMR * k).zip(c.chunks_mut(QMR * n)) {
-        let mr = a_rows.len() / k;
-        let mut j0 = 0;
-        for panel in pack.chunks_exact(k * QNR) {
-            let jn = QNR.min(n - j0);
-            let mut acc = [[0i32; QNR]; QMR];
-            if mr == QMR {
-                let rows = [
-                    &a_rows[..k],
-                    &a_rows[k..2 * k],
-                    &a_rows[2 * k..3 * k],
-                    &a_rows[3 * k..4 * k],
-                ];
-                qmicro_full(rows, panel, &mut acc);
-            } else {
-                qmicro_tail(a_rows, mr, k, panel, &mut acc);
-            }
-            for (r, accr) in acc.iter().enumerate().take(mr) {
-                let orow = &mut out_rows[r * n + j0..r * n + j0 + jn];
-                for (o, &v) in orow.iter_mut().zip(accr.iter()) {
-                    *o = v as f32 * rescale;
-                }
-            }
-            j0 += QNR;
-        }
-    }
+    let kernel = vnni_kernel()
+        .filter(|_| k <= VNNI_MAX_K)
+        .unwrap_or(qgemm_portable);
+    kernel(a, k, pack, n, rescale, c);
 }
 
 /// Integer matrix product `a · b` with float rescaling.
@@ -236,19 +452,32 @@ pub fn qmatmul_transb_with(a: &QTensor, b: &QTensor, pack: &mut Vec<i8>, out: &m
 
 /// Quantized linear layer: int8 weight, float bias, dynamic or static
 /// activation quantization.
+///
+/// The weight is quantized **and packed into the GEMM's panel layout once**,
+/// in [`QLinear::from_linear`]; every `infer*` call multiplies straight from
+/// those panels, so a forward pass neither re-packs a weight nor needs a
+/// packing buffer. The row-major int8 weight is kept alongside for
+/// [`QLinear::weight`].
 #[derive(Debug, Clone)]
 pub struct QLinear {
     weight: QTensor,
+    /// `weight` in the packed panel layout, built at construction.
+    packed: Vec<i8>,
     bias: Option<Vec<f32>>,
     /// Pre-calibrated activation scale; `None` = dynamic (per-call max-abs).
     activation: Option<crate::QuantParams>,
 }
 
 impl QLinear {
-    /// Quantizes a float linear layer's weight (max-abs, symmetric).
+    /// Quantizes a float linear layer's weight (max-abs, symmetric) and
+    /// packs it for the integer GEMM.
     pub fn from_linear(layer: &heatvit_nn::layers::Linear) -> Self {
+        let weight = QTensor::quantize(layer.weight().value());
+        let mut packed = Vec::new();
+        qpack_b(weight.data(), weight.dim(0), weight.dim(1), &mut packed);
         Self {
-            weight: QTensor::quantize(layer.weight().value()),
+            weight,
+            packed,
             bias: layer.bias().map(|b| b.value().data().to_vec()),
             activation: None,
         }
@@ -264,7 +493,7 @@ impl QLinear {
         self.activation = None;
     }
 
-    /// The quantized weight.
+    /// The quantized weight, row-major `[in_features, out_features]`.
     pub fn weight(&self) -> &QTensor {
         &self.weight
     }
@@ -302,10 +531,8 @@ impl QLinear {
     ///
     /// Panics if `x` is not rank-2 `[N, in_features]`.
     pub fn infer(&self, x: &Tensor) -> Tensor {
-        self.check_input(x);
-        let qx = QTensor::quantize_with(x, self.input_params(x));
-        let mut out = qmatmul(&qx, &self.weight);
-        self.add_bias(&mut out);
+        let mut out = Tensor::default();
+        self.infer_into(x, &mut QTensor::default(), &mut out);
         out
     }
 
@@ -319,21 +546,9 @@ impl QLinear {
     ///
     /// Panics if `x` is not rank-2 `[N, in_features]`.
     pub fn infer_into(&self, x: &Tensor, qbuf: &mut QTensor, out: &mut Tensor) {
-        self.infer_with(x, qbuf, &mut Vec::new(), out);
-    }
-
-    /// [`QLinear::infer_into`] additionally staging the packed weight panels
-    /// in a caller-owned buffer — the fully allocation-free entry point used
-    /// by the quantized blocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not rank-2 `[N, in_features]`.
-    pub fn infer_with(&self, x: &Tensor, qbuf: &mut QTensor, pack: &mut Vec<i8>, out: &mut Tensor) {
         self.check_input(x);
         QTensor::quantize_with_into(x, self.input_params(x), qbuf);
-        qmatmul_with(qbuf, &self.weight, pack, out);
-        self.add_bias(out);
+        self.infer_quantized_into(qbuf, out);
     }
 
     /// Runs the integer GEMM on activations the caller has already
@@ -346,8 +561,14 @@ impl QLinear {
     /// # Panics
     ///
     /// Panics if `qx` is not rank-2 `[N, in_features]`.
-    pub fn infer_quantized_into(&self, qx: &QTensor, pack: &mut Vec<i8>, out: &mut Tensor) {
-        qmatmul_with(qx, &self.weight, pack, out);
+    pub fn infer_quantized_into(&self, qx: &QTensor, out: &mut Tensor) {
+        assert_eq!(qx.dims().len(), 2, "QLinear input must be rank 2");
+        let (m, k) = (qx.dim(0), qx.dim(1));
+        let n = self.weight.dim(1);
+        assert_eq!(k, self.weight.dim(0), "input width mismatch");
+        let rescale = qx.params().scale * self.weight.params().scale;
+        out.reset_unspecified(&[m, n]);
+        qgemm_packed(qx.data(), m, k, &self.packed, n, rescale, out.data_mut());
         self.add_bias(out);
     }
 
@@ -524,13 +745,9 @@ mod tests {
         let mut out = Tensor::default();
         qlayer.infer_into(&x, &mut qbuf, &mut out);
         assert!(out.allclose(&qlayer.infer(&x), 0.0));
-        // The fully scratch-threaded path and the pre-quantized entry point
-        // agree bitwise as well.
-        let mut pack = Vec::new();
+        // The pre-quantized entry point agrees bitwise as well.
         let mut out2 = Tensor::default();
-        qlayer.infer_with(&x, &mut qbuf, &mut pack, &mut out2);
-        assert!(out2.allclose(&out, 0.0));
-        qlayer.infer_quantized_into(&qbuf, &mut pack, &mut out2);
+        qlayer.infer_quantized_into(&qbuf, &mut out2);
         assert!(out2.allclose(&out, 0.0));
     }
 
@@ -554,5 +771,163 @@ mod tests {
             &mut QTensor::default(),
             &mut Tensor::default(),
         );
+    }
+
+    /// Deterministic int8 fill covering the whole clamped range.
+    fn int8_matrix(rows: usize, cols: usize, rng: &mut StdRng) -> QTensor {
+        let t = Tensor::rand_uniform(&[rows, cols], -127.0, 127.0, rng);
+        QTensor::quantize_with(&t, crate::QuantParams { scale: 1.0 })
+    }
+
+    /// `(Σ a·b) · rescale` by the naive `i32` triple loop.
+    fn naive(a: &[i8], b: &[i8], m: usize, k: usize, n: usize, rescale: f32) -> Vec<f32> {
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                let sum: i32 = (0..k)
+                    .map(|p| a[i * k + p] as i32 * b[p * n + j] as i32)
+                    .sum();
+                out[i * n + j] = sum as f32 * rescale;
+            }
+        }
+        out
+    }
+
+    /// Both kernels, or the portable one alone (said loudly) when this CPU
+    /// cannot run the other.
+    fn kernels() -> Vec<(&'static str, Kernel)> {
+        let mut all: Vec<(&'static str, Kernel)> = vec![("portable", qgemm_portable)];
+        match vnni_kernel() {
+            Some(kernel) => all.push(("avx512-vnni", kernel)),
+            None => eprintln!(
+                "SKIPPED: this CPU lacks AVX-512 VNNI, only the portable kernel was checked"
+            ),
+        }
+        all
+    }
+
+    fn assert_kernels_match_naive(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) {
+        let rescale = 0.037f32;
+        let want = naive(a, b, m, k, n, rescale);
+        let mut pack = Vec::new();
+        qpack_b(b, k, n, &mut pack);
+        assert_eq!(pack.len(), qpacked_len(k, n));
+        let shape = format!("{m}x{k}x{n}");
+        // Each kernel called directly, bypassing the dispatcher's choice
+        // (but not the degenerate shapes it keeps away from them).
+        for (name, kernel) in kernels() {
+            let mut got = vec![f32::NAN; m * n];
+            if k == 0 {
+                got.fill(0.0);
+            } else if m > 0 && n > 0 {
+                kernel(a, k, &pack, n, rescale, &mut got);
+            }
+            assert_eq!(got, want, "{name} {shape}");
+        }
+        // The transposed pack of Bᵀ is the same bytes, header included.
+        let mut bt = vec![0i8; n * k];
+        for p in 0..k {
+            for j in 0..n {
+                bt[j * k + p] = b[p * n + j];
+            }
+        }
+        let mut pack_t = Vec::new();
+        qpack_b_t(&bt, n, k, &mut pack_t);
+        assert_eq!(pack_t, pack, "qpack_b_t {shape}");
+    }
+
+    #[test]
+    fn both_kernels_match_the_naive_loop_off_the_tile_grid() {
+        // Every remainder class: k % 4 ∈ {0,1,2,3} with an odd and an even
+        // number of k-groups, n % 16 ≠ 0, m % 4 ≠ 0, m < 4, empty shapes.
+        let mut rng = StdRng::seed_from_u64(30);
+        let ks = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 16, 31, 64, 197];
+        let ns = [0, 1, 15, 16, 17, 33, 64];
+        let ms = [0, 1, 2, 3, 4, 5, 7, 8, 197];
+        for &k in &ks {
+            for &n in &ns {
+                for &m in &ms {
+                    if m == 197 && (k > 16 || n > 17) {
+                        continue;
+                    }
+                    let a = int8_matrix(m, k, &mut rng);
+                    let b = int8_matrix(k, n, &mut rng);
+                    assert_kernels_match_naive(a.data(), b.data(), m, k, n);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn both_kernels_are_exact_on_saturating_inputs() {
+        // The largest sums DeiT-scale shapes can produce (fc2 at the base
+        // width: k = 3072), at both signs: the offset form's partial sums
+        // reach k·255·127 here and must still come out exact.
+        let (m, k, n) = (5, 3072, 18);
+        let a = vec![-127i8; m * k];
+        for fill in [127i8, -127] {
+            let b = vec![fill; k * n];
+            assert_kernels_match_naive(&a, &b, m, k, n);
+        }
+        // Mixed signs column by column, and the one value `quantize` never
+        // emits but an `i8` can hold.
+        let b: Vec<i8> = (0..k * n)
+            .map(|i| if (i % n) % 2 == 0 { 127 } else { -128 })
+            .collect();
+        assert_kernels_match_naive(&vec![-128i8; m * k], &b, m, k, n);
+        assert_kernels_match_naive(&vec![127i8; m * k], &b, m, k, n);
+    }
+
+    #[test]
+    fn dispatcher_uses_the_reported_kernel_and_bounds_its_reduction() {
+        assert!(["avx512-vnni", "portable"].contains(&int8_kernel()));
+        assert_eq!(int8_kernel() == "avx512-vnni", vnni_kernel().is_some());
+        // The bound in the module docs: every partial sum of the offset
+        // form fits an i32 up to VNNI_MAX_K, and not one step further.
+        let worst = |k: usize| k as i64 * (255 * 128 + 128 * 128);
+        assert!(worst(VNNI_MAX_K) <= i32::MAX as i64);
+        assert!(worst(VNNI_MAX_K + 1) > i32::MAX as i64);
+    }
+
+    #[test]
+    fn qmatmul_transb_matches_naive_off_the_tile_grid() {
+        let mut rng = StdRng::seed_from_u64(31);
+        for &(m, k, n) in &[(1, 1, 1), (3, 7, 17), (6, 64, 197), (197, 5, 33), (4, 0, 3)] {
+            let a = int8_matrix(m, k, &mut rng);
+            let bt = int8_matrix(n, k, &mut rng);
+            let mut b = vec![0i8; k * n];
+            for j in 0..n {
+                for p in 0..k {
+                    b[p * n + j] = bt.data()[j * k + p];
+                }
+            }
+            let want = naive(a.data(), &b, m, k, n, 1.0);
+            assert_eq!(qmatmul_transb(&a, &bt).data(), &want[..], "{m}x{k}x{n}");
+        }
+    }
+
+    #[test]
+    fn prepacked_qlinear_matches_qmatmul_on_the_unpacked_weight() {
+        // Widths off the panel grid, with and without bias: the panels
+        // packed at construction must give what packing per call gives.
+        let mut rng = StdRng::seed_from_u64(32);
+        for &(rows, fan_in, fan_out, bias) in
+            &[(7, 30, 21, true), (197, 48, 16, false), (1, 5, 1, true)]
+        {
+            let layer = Linear::new(fan_in, fan_out, bias, &mut rng);
+            let qlayer = QLinear::from_linear(&layer);
+            let x = Tensor::rand_normal(&[rows, fan_in], 0.0, 1.0, &mut rng);
+            let qx = QTensor::quantize(&x);
+            let mut want = qmatmul(&qx, qlayer.weight());
+            if let Some(b) = layer.bias() {
+                want = want.add_row_broadcast(b.value());
+            }
+            assert_eq!(qlayer.infer(&x).data(), want.data());
+            let (mut qbuf, mut out) = (QTensor::default(), Tensor::default());
+            qlayer.infer_into(&x, &mut qbuf, &mut out);
+            assert_eq!(out.data(), want.data());
+            qlayer.infer_quantized_into(&qx, &mut out);
+            assert_eq!(out.data(), want.data());
+        }
     }
 }

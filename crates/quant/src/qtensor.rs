@@ -47,8 +47,20 @@ impl QuantParams {
 
     /// Quantizes one value.
     pub fn quantize(&self, x: f32) -> i8 {
-        let q = (x / self.scale).round();
-        q.clamp(-(Self::QMAX as f32), Self::QMAX as f32) as i8
+        // 1.5·2²³: in its binade an f32 has a unit in the last place of
+        // exactly 1, so adding an integer of magnitude ≤ 127 to it is exact
+        // and leaves that integer, in two's complement, in the low byte.
+        const INT_IN_LOW_BITS: f32 = 12_582_912.0;
+        let q = (x / self.scale)
+            .round()
+            .clamp(-(Self::QMAX as f32), Self::QMAX as f32);
+        // Same value as `q as i8` for every input, NaN (→ 0) included, but
+        // free of the saturating cast that keeps a loop over it scalar.
+        if q.is_nan() {
+            0
+        } else {
+            (q + INT_IN_LOW_BITS).to_bits() as i8
+        }
     }
 
     /// Dequantizes one value.
@@ -204,6 +216,38 @@ mod tests {
     fn symmetric_range_is_symmetric() {
         let qp = QuantParams::from_abs_max(2.0);
         assert_eq!(qp.quantize(2.0), -qp.quantize(-2.0));
+    }
+
+    #[test]
+    fn quantize_equals_the_saturating_cast_it_replaced() {
+        let cast = |qp: &QuantParams, x: f32| {
+            let q = (x / qp.scale).round();
+            q.clamp(-(QuantParams::QMAX as f32), QuantParams::QMAX as f32) as i8
+        };
+        for scale in [1.0f32, 0.02, 7.874e-11, 3.0e4] {
+            let qp = QuantParams { scale };
+            // Every code, both sides of every rounding tie, and far outside.
+            for step in -1100..=1100 {
+                let x = step as f32 * 0.125 * scale;
+                for x in [x, f32::from_bits(x.to_bits() + 1), -x] {
+                    assert_eq!(qp.quantize(x), cast(&qp, x), "x={x:e} scale={scale:e}");
+                }
+            }
+            for x in [
+                0.0,
+                -0.0,
+                f32::MIN_POSITIVE,
+                f32::MAX,
+                f32::MIN,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                f32::NAN,
+                -f32::NAN,
+                f32::from_bits(0x7fc0_00ff),
+            ] {
+                assert_eq!(qp.quantize(x), cast(&qp, x), "x={x:e} scale={scale:e}");
+            }
+        }
     }
 
     #[test]

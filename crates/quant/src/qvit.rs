@@ -27,7 +27,7 @@ use crate::scratch::QuantScratch;
 use heatvit_nn::layers::LayerNorm;
 use heatvit_tensor::Tensor;
 use heatvit_vit::flops::BlockComplexity;
-use heatvit_vit::{image_to_patches, EncoderBlock, ViTConfig, VisionTransformer};
+use heatvit_vit::{image_to_patches_into, EncoderBlock, ViTConfig, VisionTransformer};
 
 /// Effective int8 speedup from DSP packing: the accelerator fits two int8
 /// MACs per DSP slice, for a measured ~1.9× throughput gain over fp16/fp32
@@ -127,6 +127,20 @@ struct AttnActParams {
     v: QuantParams,
 }
 
+/// `dst += src`, elementwise: `Tensor::add` without the new tensor (each
+/// element is the same `dst + src` sum).
+///
+/// # Panics
+///
+/// Panics if the shapes differ — for the position embeddings, an image that
+/// does not match the model's patch grid.
+fn add_in_place(dst: &mut Tensor, src: &Tensor) {
+    assert_eq!(dst.dims(), src.dims(), "shapes must match to add");
+    for (d, &s) in dst.data_mut().iter_mut().zip(src.data()) {
+        *d += s;
+    }
+}
+
 /// One encoder block on the integer pipeline.
 #[derive(Debug, Clone)]
 struct QuantizedBlock {
@@ -161,18 +175,18 @@ impl QuantizedBlock {
         }
     }
 
-    /// One block forward on the integer pipeline. Leaves the block's mean
-    /// class-token attention (per patch token, averaged over heads) in
-    /// `scratch.cls_attn` for the adaptive pruning stages.
+    /// One block forward on the integer pipeline, in place on
+    /// `scratch.tokens`. Leaves the block's mean class-token attention (per
+    /// patch token, averaged over heads) in `scratch.cls_attn` for the
+    /// adaptive pruning stages.
     fn infer_with(
         &self,
-        x: &Tensor,
         delta1: f32,
         delta2: f32,
         scratch: &mut QuantScratch,
         mut calib: Option<&mut BlockCalib>,
-    ) -> Tensor {
-        let n = x.dim(0);
+    ) {
+        let n = scratch.tokens.dim(0);
         let dim = self.num_heads * self.head_dim;
         // With calibrated activation scales (and no observer attached) the
         // layer norm fuses with quantization: normalized tiles are quantized
@@ -188,38 +202,23 @@ impl QuantizedBlock {
             debug_assert_eq!(Some(params), self.wv.activation_params());
             let fill = scratch.qa.start_fill(&[n, dim], params);
             self.ln1
-                .infer_tiles(x, 8, &mut scratch.ln_tile, |_r0, _nr, t| {
+                .infer_tiles(&scratch.tokens, 8, &mut scratch.ln_tile, |_r0, _nr, t| {
                     fill.extend(t.iter().map(|&v| params.quantize(v)));
                 });
-            self.wq
-                .infer_quantized_into(&scratch.qa, &mut scratch.pack, &mut scratch.q);
-            self.wk
-                .infer_quantized_into(&scratch.qa, &mut scratch.pack, &mut scratch.k);
-            self.wv
-                .infer_quantized_into(&scratch.qa, &mut scratch.pack, &mut scratch.v);
+            self.wq.infer_quantized_into(&scratch.qa, &mut scratch.q);
+            self.wk.infer_quantized_into(&scratch.qa, &mut scratch.k);
+            self.wv.infer_quantized_into(&scratch.qa, &mut scratch.v);
         } else {
-            self.ln1.infer_into(x, &mut scratch.normed);
+            self.ln1.infer_into(&scratch.tokens, &mut scratch.normed);
             if let Some(c) = calib.as_deref_mut() {
                 c.qkv_in.observe(&scratch.normed);
             }
-            self.wq.infer_with(
-                &scratch.normed,
-                &mut scratch.qa,
-                &mut scratch.pack,
-                &mut scratch.q,
-            );
-            self.wk.infer_with(
-                &scratch.normed,
-                &mut scratch.qa,
-                &mut scratch.pack,
-                &mut scratch.k,
-            );
-            self.wv.infer_with(
-                &scratch.normed,
-                &mut scratch.qa,
-                &mut scratch.pack,
-                &mut scratch.v,
-            );
+            self.wq
+                .infer_into(&scratch.normed, &mut scratch.qa, &mut scratch.q);
+            self.wk
+                .infer_into(&scratch.normed, &mut scratch.qa, &mut scratch.k);
+            self.wv
+                .infer_into(&scratch.normed, &mut scratch.qa, &mut scratch.v);
         }
         if let Some(c) = calib.as_deref_mut() {
             c.q.observe(&scratch.q);
@@ -259,8 +258,9 @@ impl QuantizedBlock {
                 *s *= scale;
             }
             softmax_approx_rows_inplace(&mut scratch.scores, delta2);
-            for (j, a) in scratch.cls_attn.iter_mut().enumerate() {
-                *a += scratch.scores.at(&[0, j + 1]);
+            let cls_row = &scratch.scores.row(0)[1..];
+            for (a, &s) in scratch.cls_attn.iter_mut().zip(cls_row) {
+                *a += s;
             }
             // Context: int8 attn·V, written into this head's column band.
             QTensor::quantize_with_into(&scratch.scores, attn_params, &mut scratch.qa);
@@ -284,13 +284,10 @@ impl QuantizedBlock {
         if let Some(c) = calib.as_deref_mut() {
             c.proj_in.observe(&scratch.heads);
         }
-        self.proj.infer_with(
-            &scratch.heads,
-            &mut scratch.qa,
-            &mut scratch.pack,
-            &mut scratch.attn_out,
-        );
-        let x1 = scratch.attn_out.add(x);
+        self.proj
+            .infer_into(&scratch.heads, &mut scratch.qa, &mut scratch.attn_out);
+        // First residual, in place: `attn_out` becomes `x₁ = attn_out + x`.
+        add_in_place(&mut scratch.attn_out, &scratch.tokens);
         // Same fusion for the pre-FFN norm feeding fc1.
         let fc1_static = (calib.is_none())
             .then(|| self.fc1.activation_params())
@@ -300,34 +297,35 @@ impl QuantizedBlock {
                 .qa
                 .start_fill(&[n, self.fc1.weight().dim(0)], params);
             self.ln2
-                .infer_tiles(&x1, 8, &mut scratch.ln_tile, |_r0, _nr, t| {
+                .infer_tiles(&scratch.attn_out, 8, &mut scratch.ln_tile, |_r0, _nr, t| {
                     fill.extend(t.iter().map(|&v| params.quantize(v)));
                 });
             self.fc1
-                .infer_quantized_into(&scratch.qa, &mut scratch.pack, &mut scratch.ffn_hidden);
+                .infer_quantized_into(&scratch.qa, &mut scratch.ffn_hidden);
         } else {
-            self.ln2.infer_into(&x1, &mut scratch.normed);
+            self.ln2.infer_into(&scratch.attn_out, &mut scratch.normed);
             if let Some(c) = calib.as_deref_mut() {
                 c.fc1_in.observe(&scratch.normed);
             }
-            self.fc1.infer_with(
-                &scratch.normed,
-                &mut scratch.qa,
-                &mut scratch.pack,
-                &mut scratch.ffn_hidden,
-            );
+            self.fc1
+                .infer_into(&scratch.normed, &mut scratch.qa, &mut scratch.ffn_hidden);
         }
         gelu_approx_inplace(&mut scratch.ffn_hidden, delta1);
         if let Some(c) = calib {
             c.fc2_in.observe(&scratch.ffn_hidden);
         }
-        self.fc2.infer_with(
-            &scratch.ffn_hidden,
-            &mut scratch.qa,
-            &mut scratch.pack,
-            &mut scratch.ffn_out,
-        );
-        scratch.ffn_out.add(&x1)
+        self.fc2
+            .infer_into(&scratch.ffn_hidden, &mut scratch.qa, &mut scratch.ffn_out);
+        // Second residual, into the token matrix: `ffn_out + x₁`.
+        for ((t, &f), &x1) in scratch
+            .tokens
+            .data_mut()
+            .iter_mut()
+            .zip(scratch.ffn_out.data())
+            .zip(scratch.attn_out.data())
+        {
+            *t = f + x1;
+        }
     }
 
     fn apply_calibration(&mut self, c: &BlockCalib) {
@@ -644,32 +642,41 @@ impl QuantizedViT {
         scratch: &mut QuantScratch,
         mut calib: Option<&mut ModelCalib>,
     ) -> QuantInference {
-        let patches = image_to_patches(image, self.patch.patch_size);
+        image_to_patches_into(image, self.patch.patch_size, &mut scratch.image_patches);
         if let Some(m) = calib.as_deref_mut() {
-            m.patch_in.observe(&patches);
+            m.patch_in.observe(&scratch.image_patches);
         }
-        let embedded = self.patch.proj.infer(&patches);
-        let mut tokens =
-            Tensor::concat_rows(&[&self.patch.cls_token, &embedded]).add(&self.patch.pos_embed);
+        self.patch.proj.infer_into(
+            &scratch.image_patches,
+            &mut scratch.qa,
+            &mut scratch.embedded,
+        );
+        Tensor::concat_rows_into(
+            &[&self.patch.cls_token, &scratch.embedded],
+            &mut scratch.tokens,
+        );
+        add_in_place(&mut scratch.tokens, &self.patch.pos_embed);
         let mut tokens_per_block = Vec::with_capacity(self.config.depth);
         let mut stage_iter = self.stages.iter().peekable();
         for (bi, block) in self.blocks.iter().enumerate() {
             if let Some(stage) = stage_iter.peek() {
                 if stage.block == bi {
-                    self.prune_stage(&mut tokens, stage.attn_frac, scratch);
+                    self.prune_stage(stage.attn_frac, scratch);
                     stage_iter.next();
                 }
             }
-            tokens_per_block.push(tokens.dim(0));
+            tokens_per_block.push(scratch.tokens.dim(0));
             let block_calib = calib.as_deref_mut().map(|m| &mut m.blocks[bi]);
-            tokens = block.infer_with(&tokens, self.delta1, self.delta2, scratch, block_calib);
+            block.infer_with(self.delta1, self.delta2, scratch, block_calib);
         }
-        tokens.slice_rows_into(0, 1, &mut scratch.cls);
+        scratch.tokens.slice_rows_into(0, 1, &mut scratch.cls);
         self.norm.infer_into(&scratch.cls, &mut scratch.normed);
         if let Some(m) = calib {
             m.head_in.observe(&scratch.normed);
         }
-        let logits = self.head.infer(&scratch.normed);
+        let mut logits = Tensor::default();
+        self.head
+            .infer_into(&scratch.normed, &mut scratch.qa, &mut logits);
         let raw_macs = self.raw_macs_for(&tokens_per_block);
         QuantInference {
             logits,
@@ -683,8 +690,8 @@ impl QuantizedViT {
     /// `scratch.cls_attn` by the previous block) falls below
     /// `frac × mean attention`, consolidating them into one
     /// attention-weighted package token (the Eq. 10 flow on int8 attention).
-    fn prune_stage(&self, tokens: &mut Tensor, frac: f32, scratch: &mut QuantScratch) {
-        let n = tokens.dim(0);
+    fn prune_stage(&self, frac: f32, scratch: &mut QuantScratch) {
+        let n = scratch.tokens.dim(0);
         let n_patches = n - 1;
         debug_assert_eq!(scratch.cls_attn.len(), n_patches);
         let mean = scratch.cls_attn.iter().sum::<f32>() / n_patches.max(1) as f32;
@@ -712,8 +719,8 @@ impl QuantizedViT {
             scratch.kept.push(best);
             scratch.pruned.retain(|&i| i != best);
         }
-        tokens.slice_rows_into(1, n, &mut scratch.patches);
-        tokens.slice_rows_into(0, 1, &mut scratch.cls);
+        scratch.tokens.slice_rows_into(1, n, &mut scratch.patches);
+        scratch.tokens.slice_rows_into(0, 1, &mut scratch.cls);
         scratch
             .patches
             .gather_rows_into(&scratch.kept, &mut scratch.kept_rows);
@@ -722,8 +729,8 @@ impl QuantizedViT {
         // (weights and zero-sum fallback must stay in sync with it); it
         // cannot be called from here because `heatvit-selector` depends on
         // this crate for the engine's shared scratch.
-        let d = tokens.dim(1);
-        let mut package = vec![0.0f32; d];
+        let d = scratch.tokens.dim(1);
+        scratch.package.reset_zeroed(&[1, d]);
         let wsum: f32 = scratch.pruned.iter().map(|&i| scratch.cls_attn[i]).sum();
         for &i in &scratch.pruned {
             let w = if wsum > 1e-12 {
@@ -731,16 +738,16 @@ impl QuantizedViT {
             } else {
                 1.0 / scratch.pruned.len() as f32
             };
-            for (p, &x) in package.iter_mut().zip(scratch.patches.row(i)) {
+            let package = scratch.package.data_mut().iter_mut();
+            for (p, &x) in package.zip(scratch.patches.row(i)) {
                 *p += w * x;
             }
         }
-        let package = Tensor::from_vec(package, &[1, d]);
         Tensor::concat_rows_into(
-            &[&scratch.cls, &scratch.kept_rows, &package],
+            &[&scratch.cls, &scratch.kept_rows, &scratch.package],
             &mut scratch.repacked,
         );
-        std::mem::swap(tokens, &mut scratch.repacked);
+        std::mem::swap(&mut scratch.tokens, &mut scratch.repacked);
     }
 }
 
@@ -858,14 +865,15 @@ mod tests {
         let params = block.wq.activation_params().expect("calibrated");
         let qx = QTensor::quantize_with(&normed, params);
         let mut want = Tensor::default();
-        block
-            .wq
-            .infer_quantized_into(&qx, &mut Vec::new(), &mut want);
+        block.wq.infer_quantized_into(&qx, &mut want);
 
         // Fused path: run the block and inspect the staged Q projection
         // (scratch.q is written once, straight off the fused quantize).
-        let mut scratch = QuantScratch::default();
-        block.infer_with(&x, 1.0, 1.0, &mut scratch, None);
+        let mut scratch = QuantScratch {
+            tokens: x,
+            ..QuantScratch::default()
+        };
+        block.infer_with(1.0, 1.0, &mut scratch, None);
         assert_eq!(scratch.q.data(), want.data());
     }
 

@@ -15,6 +15,13 @@ use heatvit_tensor::Tensor;
 /// Workspace for the [`crate::QuantizedViT`] hot path.
 #[derive(Debug, Clone, Default)]
 pub struct QuantScratch {
+    /// The token matrix `[N, D]` the blocks and pruning stages update in
+    /// place.
+    pub(crate) tokens: Tensor,
+    /// Flattened image patches `[N-1, P²·C]` entering the embedding.
+    pub(crate) image_patches: Tensor,
+    /// Embedded patches `[N-1, D]` before the class token joins them.
+    pub(crate) embedded: Tensor,
     /// Layer-norm output, reused for both pre-MSA and pre-FFN norms.
     pub(crate) normed: Tensor,
     /// Full-width query projection `[N, D]`.
@@ -51,6 +58,8 @@ pub struct QuantScratch {
     pub(crate) patches: Tensor,
     /// Gathered informative rows `[K, D]`.
     pub(crate) kept_rows: Tensor,
+    /// A pruning stage's package token `[1, D]`.
+    pub(crate) package: Tensor,
     /// The repacked token matrix handed to the next block.
     pub(crate) repacked: Tensor,
     /// Indices of kept patch tokens.
@@ -59,7 +68,8 @@ pub struct QuantScratch {
     pub(crate) pruned: Vec<usize>,
     /// Mean class-token attention per patch token from the previous block.
     pub(crate) cls_attn: Vec<f32>,
-    /// Packed int8 weight panels for the integer GEMM microkernel.
+    /// Packed panels of the per-head `K`/`V` operands (weights are packed
+    /// once, inside their `QLinear`).
     pub(crate) pack: Vec<i8>,
     /// Staging buffer for fused layer-norm + quantize tiles.
     pub(crate) ln_tile: Vec<f32>,

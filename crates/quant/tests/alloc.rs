@@ -1,0 +1,99 @@
+//! Pins the int8 forward pass's heap traffic: with a warm [`QuantScratch`]
+//! one image costs what its *result* owns (logits, the per-block token
+//! counts) plus the float layer norms' row statistics — not a request per
+//! pixel, per attention score or per GEMM.
+//!
+//! A `#[global_allocator]` is process-wide, so this test lives in a binary of
+//! its own and counts on the calling thread only.
+
+use heatvit_quant::{QuantPruneStage, QuantScratch, QuantizedViT};
+use heatvit_tensor::Tensor;
+use heatvit_vit::{ViTConfig, VisionTransformer};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// `Some(n)` while this thread counts its heap requests.
+    static REQUESTS: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+struct Counting;
+
+fn note() {
+    // `try_with`: the allocator also runs while a thread's locals are torn
+    // down, when there is nothing left to count into.
+    let _ = REQUESTS.try_with(|r| r.set(r.get().map(|n| n + 1)));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter never touches the memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: the caller's `layout` obligations are passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout` (see `alloc`).
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        // SAFETY: `ptr`/`layout` came from `System`; `new_size` is the
+        // caller's obligation, passed through.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Heap requests this thread makes while `f` runs.
+fn requests_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    REQUESTS.with(|r| r.set(Some(0)));
+    let out = f();
+    let n = REQUESTS.with(|r| r.replace(None)).expect("counting was on");
+    (out, n)
+}
+
+#[test]
+fn warm_int8_inference_stays_within_its_heap_budget() {
+    let mut rng = StdRng::seed_from_u64(0);
+    let float_model = VisionTransformer::new(ViTConfig::micro(8), &mut rng);
+    let images: Vec<Tensor> = (0..3)
+        .map(|_| Tensor::rand_uniform(&[3, 32, 32], 0.0, 1.0, &mut rng))
+        .collect();
+    let dense = QuantizedViT::from_float(&float_model);
+    let mut calibrated = dense.clone();
+    calibrated.calibrate(&images);
+    let adaptive = dense.clone().with_prune_stages(vec![QuantPruneStage {
+        block: 2,
+        attn_frac: 0.9,
+    }]);
+    for (name, model) in [
+        ("dynamic", &dense),
+        ("calibrated", &calibrated),
+        ("adaptive", &adaptive),
+    ] {
+        let mut scratch = QuantScratch::default();
+        for image in &images {
+            model.infer_with(image, &mut scratch);
+        }
+        let (out, requests) = requests_during(|| model.infer_with(&images[0], &mut scratch));
+        let depth = out.tokens_per_block.len() as u64;
+        // What is left: the result (logits, per-block token counts) and two
+        // row-statistics vectors inside each float layer norm (two per block
+        // and the final one). The 32×32 image alone has 3072 pixels and each
+        // block 3 × 16 class-row scores: a request per element, or one more
+        // per block, breaks the bound.
+        let budget = 2 * (2 * depth + 1) + 5;
+        assert!(
+            requests <= budget,
+            "{name}: {requests} heap requests for one warm image (budget {budget})"
+        );
+    }
+}

@@ -51,6 +51,19 @@ impl Shape {
         })
     }
 
+    /// Overwrites the dimension list in place, keeping its allocation — what
+    /// lets a scratch tensor be reshaped on the hot path without touching
+    /// the heap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dims` is empty.
+    pub(crate) fn assign(&mut self, dims: &[usize]) {
+        assert!(!dims.is_empty(), "shape must have at least one dimension");
+        self.dims.clear();
+        self.dims.extend_from_slice(dims);
+    }
+
     /// The dimension list.
     pub fn dims(&self) -> &[usize] {
         &self.dims
@@ -98,14 +111,15 @@ impl Shape {
             index.len(),
             self.rank()
         );
-        let strides = self.strides();
+        // Horner form of Σ index[a]·stride[a]: no stride vector is built, so
+        // `Tensor::at` in a per-element loop does not touch the heap.
         let mut off = 0;
         for (axis, (&i, &d)) in index.iter().zip(self.dims.iter()).enumerate() {
             assert!(
                 i < d,
                 "index {i} out of bounds for axis {axis} with length {d}"
             );
-            off += i * strides[axis];
+            off = off * d + i;
         }
         off
     }
@@ -164,11 +178,18 @@ mod tests {
         for i in 0..3 {
             for j in 0..4 {
                 let off = s.offset(&[i, j]);
+                assert_eq!(off, i * 4 + j, "offsets are row-major");
                 assert!(!seen[off], "offsets must be unique");
                 seen[off] = true;
             }
         }
         assert!(seen.iter().all(|&b| b));
+        // Higher ranks agree with the stride definition.
+        let s = Shape::new(&[4, 5, 6]);
+        let strides = s.strides();
+        let index = [3, 2, 5];
+        let expect: usize = index.iter().zip(&strides).map(|(i, st)| i * st).sum();
+        assert_eq!(s.offset(&index), expect);
     }
 
     #[test]

@@ -284,11 +284,9 @@ impl Tensor {
     /// instead of freshly allocated, so steady-state batches perform no
     /// per-image heap allocation for activations.
     pub fn reset_zeroed(&mut self, dims: &[usize]) {
-        let shape = Shape::new(dims);
-        let n = shape.numel();
+        self.shape.assign(dims);
         self.data.clear();
-        self.data.resize(n, 0.0);
-        self.shape = shape;
+        self.data.resize(self.shape.numel(), 0.0);
     }
 
     /// Reshapes the tensor in place to `dims` **without** clearing the
@@ -301,10 +299,8 @@ impl Tensor {
     /// batched engine's hot path. Accumulating kernels (GEMM) must use
     /// [`Tensor::reset_zeroed`] instead.
     pub fn reset_unspecified(&mut self, dims: &[usize]) {
-        let shape = Shape::new(dims);
-        let n = shape.numel();
-        self.data.resize(n, 0.0);
-        self.shape = shape;
+        self.shape.assign(dims);
+        self.data.resize(self.shape.numel(), 0.0);
     }
 
     /// `true` if any element is NaN or infinite.

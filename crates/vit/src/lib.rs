@@ -45,5 +45,5 @@ pub use attention::{AttentionMaps, MultiHeadAttention, MASK_PENALTY};
 pub use block::EncoderBlock;
 pub use config::ViTConfig;
 pub use model::{InferenceTrace, VisionTransformer};
-pub use patch_embed::{image_to_patches, PatchEmbed};
+pub use patch_embed::{image_to_patches, image_to_patches_into, PatchEmbed};
 pub use scratch::{AttnScratch, InferScratch};

@@ -27,6 +27,20 @@ use rand::Rng;
 /// assert_eq!(patches.dims(), &[4, 12]); // 4 patches of 2·2·3 values
 /// ```
 pub fn image_to_patches(image: &Tensor, patch: usize) -> Tensor {
+    let mut out = Tensor::default();
+    image_to_patches_into(image, patch, &mut out);
+    out
+}
+
+/// [`image_to_patches`] writing into a caller-provided tensor (reshaped in
+/// place, every element overwritten; values identical to the allocating
+/// path).
+///
+/// # Panics
+///
+/// Panics if `image` is not rank 3 or not divisible into `patch`-sized
+/// tiles.
+pub fn image_to_patches_into(image: &Tensor, patch: usize, out: &mut Tensor) {
     assert_eq!(image.rank(), 3, "expected [C, H, W]");
     let (c, h, w) = (image.dim(0), image.dim(1), image.dim(2));
     assert!(
@@ -34,24 +48,20 @@ pub fn image_to_patches(image: &Tensor, patch: usize) -> Tensor {
         "image {h}x{w} not divisible into {patch}x{patch} patches"
     );
     let (ph, pw) = (h / patch, w / patch);
-    let n = ph * pw;
-    let dim = c * patch * patch;
-    let mut out = Tensor::zeros(&[n, dim]);
+    out.reset_unspecified(&[ph * pw, c * patch * patch]);
+    // A patch row is `c·patch` runs of `patch` pixels, each contiguous in
+    // the image: one `copy_from_slice` per run.
+    let pixels = image.data();
     for pr in 0..ph {
         for pc in 0..pw {
-            let row = out.row_mut(pr * pw + pc);
-            let mut k = 0;
-            for ch in 0..c {
-                for dy in 0..patch {
-                    for dx in 0..patch {
-                        row[k] = image.at(&[ch, pr * patch + dy, pc * patch + dx]);
-                        k += 1;
-                    }
-                }
+            let runs = out.row_mut(pr * pw + pc).chunks_exact_mut(patch);
+            for (run_index, run) in runs.enumerate() {
+                let (ch, dy) = (run_index / patch, run_index % patch);
+                let start = (ch * h + pr * patch + dy) * w + pc * patch;
+                run.copy_from_slice(&pixels[start..start + patch]);
             }
         }
     }
-    out
 }
 
 /// Linear patch embedding plus class token and position embeddings.
@@ -168,6 +178,32 @@ mod tests {
         let mut orig: Vec<f32> = image.data().to_vec();
         orig.sort_by(f32::total_cmp);
         assert_eq!(all, orig);
+    }
+
+    #[test]
+    fn run_copies_match_the_per_pixel_definition() {
+        // The run-wise copy against the definition it replaced, written into
+        // a stale buffer of another shape.
+        let mut rng = StdRng::seed_from_u64(3);
+        let (c, patch) = (3, 4);
+        let image = Tensor::rand_uniform(&[c, 8, 12], 0.0, 1.0, &mut rng);
+        let mut out = Tensor::full(&[5, 7], 9.0);
+        image_to_patches_into(&image, patch, &mut out);
+        assert_eq!(out.dims(), &[6, c * patch * patch]);
+        for pr in 0..2 {
+            for pc in 0..3 {
+                let mut k = 0;
+                for ch in 0..c {
+                    for dy in 0..patch {
+                        for dx in 0..patch {
+                            let pixel = image.at(&[ch, pr * patch + dy, pc * patch + dx]);
+                            assert_eq!(out.at(&[pr * 3 + pc, k]), pixel);
+                            k += 1;
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
