@@ -6,11 +6,11 @@
 //! projection GEMM at the full 197-token count, at a 60%-kept repacked
 //! count, and the repack (gather) cost itself — plus the other hot ViT
 //! shapes the packed microkernels target: the MLP fc1 expansion
-//! (197×192 · 192×576), the per-head attention-score product Q·Kᵀ, and the
-//! int8 counterparts of all three — `qmatmul_with`, which packs `B` on every
-//! call, plus the fc1 product through a `QLinear`, whose weight is packed
-//! once at construction (what the int8 model runs). The README's "Kernel
-//! performance" table is produced from these entries.
+//! (197×192 · 192×768), the per-head attention-score product Q·Kᵀ, and the
+//! int8 counterparts of all three. `matmul`/`qmatmul_with` pack `B` on every
+//! call; the two `pre-packed` entries run the fc1 product through a
+//! `Linear`/`QLinear`, whose weight is packed once (what the models run).
+//! The README's "Kernel performance" table is produced from these entries.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use heatvit_bench::token_matrix;
@@ -66,8 +66,13 @@ fn bench_attention_scores(c: &mut Criterion) {
 fn bench_mlp_fc1_gemm(c: &mut Criterion) {
     let x = token_matrix(TOKENS, DIM, 4);
     let w = token_matrix(DIM, HIDDEN, 5);
-    c.bench_function("gemm/mlp fc1 197x192 . 192x576", |b| {
+    c.bench_function("gemm/mlp fc1 197x192 . 192x768", |b| {
         b.iter(|| black_box(&x).matmul(black_box(&w)))
+    });
+    let fc1 = Linear::from_tensors(w, None);
+    let mut out = Tensor::default();
+    c.bench_function("gemm/linear fc1 pre-packed 197x192 . 192x768", |b| {
+        b.iter(|| fc1.infer_into(black_box(&x), &mut out))
     });
 }
 
@@ -82,7 +87,7 @@ fn bench_int8_gemm(c: &mut Criterion) {
     c.bench_function("gemm/int8 dense 197x192 . 192x192", |b| {
         b.iter(|| qmatmul_with(black_box(&x), black_box(&w), &mut pack, &mut out))
     });
-    c.bench_function("gemm/int8 mlp fc1 197x192 . 192x576", |b| {
+    c.bench_function("gemm/int8 mlp fc1 197x192 . 192x768", |b| {
         b.iter(|| qmatmul_with(black_box(&x), black_box(&w_fc1), &mut pack, &mut out))
     });
     c.bench_function("gemm/int8 attn scores Q.K^T 197x64", |b| {
@@ -94,7 +99,7 @@ fn bench_int8_gemm(c: &mut Criterion) {
         false,
         &mut StdRng::seed_from_u64(11),
     ));
-    c.bench_function("gemm/int8 qlinear fc1 pre-packed 197x192 . 192x576", |b| {
+    c.bench_function("gemm/int8 qlinear fc1 pre-packed 197x192 . 192x768", |b| {
         b.iter(|| fc1.infer_quantized_into(black_box(&x), &mut out))
     });
 }

@@ -22,10 +22,10 @@
 //! The `fpga-ms` column is the `heatvit-fpga` cycle model's prediction for
 //! one image on the paper's ZCU102 tiled-GEMM geometry — the accelerator
 //! latency the cost profiles imply, printed beside host wall-clock so the
-//! two cost orderings can be compared. How the int8 rows fare on the host
-//! depends on its CPU: the header's `int8 kernel:` line (also
-//! `"int8_kernel"` in the JSON report) says whether the AVX-512 VNNI kernel
-//! or the portable scalar one produced them.
+//! two cost orderings can be compared. How the rows fare on the host
+//! depends on its CPU: the header's `int8 kernel:` and `f32 kernel:` lines
+//! (also `"int8_kernel"` / `"f32_kernel"` in the JSON report) say whether
+//! the AVX-512 kernels or the portable ones produced them.
 //!
 //! Before timing, the binary asserts batched/single parity for every
 //! variant and sharded/sequential parity for the multi-threaded engine, so
@@ -186,7 +186,9 @@ fn main() {
         images.len()
     );
     let int8_kernel = heatvit_quant::int8_kernel();
-    println!("int8 kernel: {int8_kernel}\n");
+    println!("int8 kernel: {int8_kernel}");
+    let f32_kernel = heatvit_tensor::f32_kernel();
+    println!("f32 kernel: {f32_kernel}\n");
 
     // One registry spans every measured engine: the embedded telemetry
     // snapshot carries per-variant batch/image/inference-time counters
@@ -316,6 +318,7 @@ fn main() {
         .int("par_threads", PAR_THREADS as u64)
         .int("hardware_threads", cores as u64)
         .str("int8_kernel", int8_kernel)
+        .str("f32_kernel", f32_kernel)
         .raw("backends", backends)
         .metrics("telemetry", &registry.snapshot())
         .write_if_requested();

@@ -93,6 +93,12 @@ const IMAGE_POOL: usize = 16;
 /// tenth of that window.
 const DEFAULT_REQUESTS: usize = 384;
 const QUICK_REQUESTS: usize = 128;
+/// Shortest schedule of a closed-loop run: one at a rate where the request
+/// count above would take less is lengthened to span it. The generator
+/// loses about one scheduler quantum (≈3 ms) while the lane thread starts,
+/// which the offered-rate gate forgives only if it is under a tenth of the
+/// window — whatever the model's speed.
+const MIN_SCHEDULE: Duration = Duration::from_millis(40);
 /// Arrival-rate sweep as fractions of measured offline batch capacity.
 const SWEEP: [f64; 3] = [0.25, 0.5, 1.0];
 const QUICK_SWEEP: [f64; 2] = [0.5, 1.0];
@@ -465,6 +471,22 @@ struct SloClassRow {
     predicted_error_pct: f64,
 }
 
+/// Deadline budgets `(Normal, High)` of the SLO and open-loop sweeps, from
+/// the dense level's full-batch time. Normal's binds under overload
+/// (degradation is the point): four batch windows, which is what a full
+/// 32-deep queue holds. Its floor has to stay below that or the ≥2× runs
+/// degrade and shed nothing: 4 ms is four windows at 8 k img/s, twice the
+/// micro model's dense capacity. High's is generous enough that only a
+/// bug — not scheduler jitter — could miss it.
+fn slo_budgets(dense_capacity: f64) -> (Duration, Duration) {
+    let per_image = Duration::from_secs_f64(1.0 / dense_capacity.max(1.0));
+    let batch_window = per_image * 8;
+    (
+        (batch_window * 4).max(Duration::from_millis(4)),
+        (batch_window * 40).max(Duration::from_millis(100)),
+    )
+}
+
 /// Section 3: one SLO overload run against the tiered ladder. Returns the
 /// per-class rows for the table and JSON.
 fn run_slo(
@@ -474,13 +496,7 @@ fn run_slo(
     ewma: &Arc<MeasuredEwma>,
     images: &[heatvit_tensor::Tensor],
 ) -> Vec<SloClassRow> {
-    let per_image = Duration::from_secs_f64(1.0 / dense_capacity.max(1.0));
-    let batch_window = per_image * 8;
-    // Normal's budget binds under overload (degradation is the point);
-    // High's is generous enough that only a bug — not scheduler jitter —
-    // could miss it.
-    let normal_budget = (batch_window * 4).max(Duration::from_millis(8));
-    let high_budget = (batch_window * 40).max(Duration::from_millis(100));
+    let (normal_budget, high_budget) = slo_budgets(dense_capacity);
     let config = ServeConfig {
         max_batch: 8,
         queue_capacity: 32,
@@ -722,10 +738,7 @@ fn run_open_loop(
     ewma: &Arc<MeasuredEwma>,
     images: &[heatvit_tensor::Tensor],
 ) -> OpenLoopRow {
-    let per_image = Duration::from_secs_f64(1.0 / dense_capacity.max(1.0));
-    let batch_window = per_image * 8;
-    let normal_budget = (batch_window * 4).max(Duration::from_millis(8));
-    let high_budget = (batch_window * 40).max(Duration::from_millis(100));
+    let (normal_budget, high_budget) = slo_budgets(dense_capacity);
     let config = ServeConfig {
         max_batch: 8,
         // Deep enough that queue-full refusals never hit High: admission
@@ -827,8 +840,10 @@ fn main() {
     let images = synthetic_batch(IMAGE_POOL, 0);
     let sweep: &[f64] = if quick() { &QUICK_SWEEP } else { &SWEEP };
     println!(
-        "heatvit serve_demo: closed-loop sweep, {requests} requests per run, \
-         {IMAGE_POOL}-image pool, rates at {sweep:?} of offline batch capacity\n"
+        "heatvit serve_demo: closed-loop sweep, {requests} requests per run (more where that \
+         is under {} ms of schedule), {IMAGE_POOL}-image pool, rates at {sweep:?} of offline \
+         batch capacity\n",
+        MIN_SCHEDULE.as_millis()
     );
 
     println!(
@@ -868,6 +883,7 @@ fn main() {
 
         for &fraction in sweep {
             let target = (capacity * fraction).max(1.0);
+            let requests = requests.max((target * MIN_SCHEDULE.as_secs_f64()).ceil() as usize);
             let result = run_load(kind, target, requests, deadline_budget, &images, &reference);
             let r = &result.report;
             println!(

@@ -58,12 +58,17 @@ impl Activation {
     }
 
     /// Applies the activation elementwise in place (the allocation-free
-    /// variant of [`Activation::infer`], bit-identical values).
+    /// variant of [`Activation::infer`], bit-identical values). The variant
+    /// is matched once, outside the element loop, so each loop is over one
+    /// branch-free function and vectorizes.
     pub fn apply_inplace(&self, x: &mut Tensor) {
-        if let Activation::Identity = self {
-            return;
+        match self {
+            Activation::Gelu => x.map_inplace(scalar::gelu),
+            Activation::Relu => x.map_inplace(scalar::relu),
+            Activation::Hardswish => x.map_inplace(scalar::hardswish),
+            Activation::Sigmoid => x.map_inplace(scalar::sigmoid),
+            Activation::Identity => {}
         }
-        x.map_inplace(|v| self.apply(v));
     }
 
     /// Scalar application (used by the quantizer's lookup construction).

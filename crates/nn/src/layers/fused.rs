@@ -4,35 +4,38 @@
 //! activations into one or more linear projections (Q/K/V, or the FFN's
 //! first layer). The unfused path materializes the normalized `[N, dim]`
 //! matrix, writes it to memory, then reads it straight back for the GEMM.
-//! [`layer_norm_project_into`] instead streams [`crate::layers::LayerNorm`]
-//! output through the packed GEMM microkernel one register tile at a time,
-//! so normalized activations never round-trip through a temporary.
+//! [`layer_norm_project_into`] instead normalizes a block of rows at a time
+//! into a small staging buffer and multiplies it with every projection's
+//! packed weight while it is still in cache, so normalized activations never
+//! round-trip through a full-size temporary.
 //!
-//! Both the layer-norm arithmetic and the GEMM accumulation order are
+//! Both the layer-norm arithmetic and each output element's GEMM chain are
 //! exactly those of the unfused entry points, so results are bit-identical —
 //! the batched-vs-single and parallel-vs-sequential parity guarantees of the
 //! inference engine are preserved for free.
 
 use crate::layers::{LayerNorm, Linear};
-use heatvit_tensor::{pack_b_into, packed_len, GemmScratch, Tensor, MR};
+use heatvit_tensor::{gemm_packed, GemmScratch, MatMut, MatRef, Tensor, MR};
 
-/// Maximum number of projections a single fused call supports (Q, K, V and
-/// one spare). The QKV triple is the widest real call site.
-pub const MAX_FUSED_PROJECTIONS: usize = 4;
+/// Rows normalized per staging block: eight GEMM row tiles (36 KB at
+/// `dim = 192`), which stay in L2 while every weight panel passes over them.
+/// Measured at DeiT-T: blocks of one or two row tiles re-read the panels
+/// often enough to cost 10 % of the fused Q/K/V time; from eight on the
+/// curve is flat (48 and 66 rows time the same).
+const BLOCK_ROWS: usize = 8 * MR;
 
 /// Computes `outs[i] = projections[i].infer(ln.infer(x))` for every
 /// projection without materializing `ln.infer(x)`.
 ///
-/// All projection weights are packed into `gs.pack` (at disjoint regions),
-/// then normalized row tiles of height [`MR`] are streamed straight into the
-/// packed microkernel once per projection. Values are bit-identical to the
-/// unfused two-step path.
+/// Blocks of normalized rows are staged in `gs.tile` and multiplied with
+/// each projection's packed weight (built once by the layer, see
+/// [`Linear`]) in turn. Values are bit-identical to the unfused two-step
+/// path.
 ///
 /// # Panics
 ///
 /// Panics if `x` is not `[N, ln.dim()]`, if any projection's input width
-/// differs from `ln.dim()`, if `projections.len() != outs.len()`, or if more
-/// than [`MAX_FUSED_PROJECTIONS`] projections are passed.
+/// differs from `ln.dim()`, or if `projections.len() != outs.len()`.
 pub fn layer_norm_project_into(
     ln: &LayerNorm,
     projections: &[&Linear],
@@ -45,48 +48,21 @@ pub fn layer_norm_project_into(
         outs.len(),
         "one output tensor per projection"
     );
-    assert!(
-        projections.len() <= MAX_FUSED_PROJECTIONS,
-        "at most {MAX_FUSED_PROJECTIONS} fused projections"
-    );
     assert_eq!(x.dim(1), ln.dim(), "layernorm width mismatch");
     let (rows, k) = (x.dim(0), x.dim(1));
-
-    // Pack every weight into one scratch buffer at per-layer offsets.
-    let mut offsets = [0usize; MAX_FUSED_PROJECTIONS + 1];
-    for (l, p) in projections.iter().enumerate() {
-        assert_eq!(p.in_features(), k, "projection input width mismatch");
-        offsets[l + 1] = offsets[l] + packed_len(k, p.out_features());
-    }
-    let total = offsets[projections.len()];
-    let GemmScratch { pack, tile } = gs;
-    pack.clear();
-    pack.resize(total, 0.0);
-    for (l, p) in projections.iter().enumerate() {
-        pack_b_into(
-            p.weight().value().data(),
-            k,
-            p.out_features(),
-            &mut pack[offsets[l]..offsets[l + 1]],
-        );
-    }
     for (p, out) in projections.iter().zip(outs.iter_mut()) {
+        assert_eq!(p.in_features(), k, "projection input width mismatch");
         out.reset_unspecified(&[rows, p.out_features()]);
     }
 
-    ln.infer_tiles(x, MR, tile, |r0, nr, t| {
-        for (l, p) in projections.iter().enumerate() {
+    ln.infer_tiles(x, BLOCK_ROWS, &mut gs.tile, |r0, nr, block| {
+        for (p, out) in projections.iter().zip(outs.iter_mut()) {
             let n = p.out_features();
-            let bias = p.bias().map(|b| b.value().data());
-            let out_rows = &mut outs[l].data_mut()[r0 * n..(r0 + nr) * n];
-            heatvit_tensor::gemm_packed_rows(
-                t,
-                nr,
-                k,
-                &pack[offsets[l]..offsets[l + 1]],
-                n,
-                bias,
-                out_rows,
+            gemm_packed(
+                MatRef::new(block, nr, k, k),
+                p.packed_weight(),
+                p.bias().map(|b| b.value().data()),
+                MatMut::new(&mut out.data_mut()[r0 * n..(r0 + nr) * n], nr, n, n),
             );
         }
     });

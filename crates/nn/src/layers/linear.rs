@@ -1,8 +1,24 @@
 //! Fully-connected (linear) layer.
 
 use crate::{Module, Param, Tape, Var};
-use heatvit_tensor::{GemmScratch, Tensor};
+use heatvit_tensor::{gemm_packed, pack_b, Tensor};
 use rand::Rng;
+use std::fmt;
+use std::sync::OnceLock;
+
+/// A [`Linear`]'s weight in the GEMM's panel layout, built on the first
+/// inference call and kept until the weight can have changed.
+#[derive(Clone, Default)]
+struct PackedWeight(OnceLock<Vec<f32>>);
+
+impl fmt::Debug for PackedWeight {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0.get() {
+            Some(panels) => write!(f, "PackedWeight({} floats)", panels.len()),
+            None => f.write_str("PackedWeight(not built)"),
+        }
+    }
+}
 
 /// A fully-connected layer `y = x·W + b`.
 ///
@@ -11,6 +27,12 @@ use rand::Rng;
 /// HeatViT's token selector is built entirely from this layer (paper
 /// Section IV: "we design our token selector with linear layers … to reuse
 /// the GEMM hardware component").
+///
+/// The inference entry points multiply from a packed copy of the weight
+/// that is built once, on first use (as `QLinear` packs its int8 weight),
+/// not per call. [`Module::params_mut`] — the only mutable path to the
+/// weight — drops that copy, so the next inference call packs the new
+/// values.
 ///
 /// # Examples
 ///
@@ -39,6 +61,7 @@ pub struct Linear {
     bias: Option<Param>,
     in_features: usize,
     out_features: usize,
+    packed: PackedWeight,
 }
 
 impl Linear {
@@ -59,6 +82,7 @@ impl Linear {
             bias,
             in_features,
             out_features,
+            packed: PackedWeight::default(),
         }
     }
 
@@ -78,6 +102,7 @@ impl Linear {
             bias: bias.map(|b| Param::new("linear.bias", b)),
             in_features,
             out_features,
+            packed: PackedWeight::default(),
         }
     }
 
@@ -123,17 +148,25 @@ impl Linear {
         }
     }
 
+    /// The weight's packed panels, built on first use. Concurrent first
+    /// callers block on one build and then share it.
+    pub(crate) fn packed_weight(&self) -> &[f32] {
+        self.packed
+            .0
+            .get_or_init(|| pack_b(self.weight.value().as_mat()))
+    }
+
     /// Inference forward (no tape, no gradient).
     ///
     /// # Panics
     ///
     /// Panics if `x` is not `[N, in_features]`.
     pub fn infer(&self, x: &Tensor) -> Tensor {
-        assert_eq!(x.dim(1), self.in_features, "linear input width mismatch");
-        match &self.bias {
-            Some(b) => x.matmul_bias(self.weight.value(), b.value()),
-            None => x.matmul(self.weight.value()),
-        }
+        // Born at its final shape: growing a default tensor costs two more
+        // heap requests.
+        let mut out = Tensor::zeros(&[x.dim(0), self.out_features]);
+        self.infer_into(x, &mut out);
+        out
     }
 
     /// [`Linear::infer`] writing into a caller-provided output tensor.
@@ -147,26 +180,13 @@ impl Linear {
     /// Panics if `x` is not `[N, in_features]`.
     pub fn infer_into(&self, x: &Tensor, out: &mut Tensor) {
         assert_eq!(x.dim(1), self.in_features, "linear input width mismatch");
-        match &self.bias {
-            Some(b) => x.matmul_bias_into(self.weight.value(), b.value(), out),
-            None => x.matmul_into(self.weight.value(), out),
-        }
-    }
-
-    /// [`Linear::infer_into`] staging the packed weight panels in a
-    /// caller-owned [`GemmScratch`], so the hot path performs no per-call
-    /// heap allocation once the workspace is warm. Values are bit-identical
-    /// to every other inference entry point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not `[N, in_features]`.
-    pub fn infer_with(&self, x: &Tensor, gs: &mut GemmScratch, out: &mut Tensor) {
-        assert_eq!(x.dim(1), self.in_features, "linear input width mismatch");
-        match &self.bias {
-            Some(b) => x.matmul_bias_with(self.weight.value(), b.value(), gs, out),
-            None => x.matmul_with(self.weight.value(), gs, out),
-        }
+        out.reset_unspecified(&[x.dim(0), self.out_features]);
+        gemm_packed(
+            x.as_mat(),
+            self.packed_weight(),
+            self.bias.as_ref().map(|b| b.value().data()),
+            out.as_mat_mut(),
+        );
     }
 
     /// Multiply–accumulate count for an input of `n` rows (used by the
@@ -186,6 +206,9 @@ impl Module for Linear {
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
+        // The caller may rewrite the weight through the reference handed
+        // out below; the packed copy is rebuilt on the next inference call.
+        self.packed.0.take();
         let mut v = vec![&mut self.weight];
         if let Some(b) = &mut self.bias {
             v.push(b);
@@ -249,5 +272,79 @@ mod tests {
         let layer = Linear::from_tensors(w, Some(Tensor::zeros(&[3])));
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[1, 3]);
         assert!(layer.infer(&x).allclose(&x, 0.0));
+    }
+
+    #[test]
+    fn packed_weight_is_rebuilt_after_params_mut() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut layer = Linear::new(7, 40, true, &mut rng);
+        let x = Tensor::rand_normal(&[9, 7], 0.0, 1.0, &mut rng);
+        let before = layer.infer(&x);
+        assert!(layer.packed.0.get().is_some(), "first use packs the weight");
+
+        let new_weight = Tensor::rand_normal(&[7, 40], 0.0, 1.0, &mut rng);
+        *layer.params_mut()[0].value_mut() = new_weight.clone();
+        assert!(layer.packed.0.get().is_none(), "params_mut drops the pack");
+
+        let fresh = Linear::from_tensors(new_weight, layer.bias().map(|b| b.value().clone()));
+        let after = layer.infer(&x);
+        assert_eq!(after.data(), fresh.infer(&x).data(), "bit for bit");
+        assert_ne!(after.data(), before.data(), "the old panels are gone");
+        // Every inference entry point reads the same, rebuilt, pack.
+        let mut out = Tensor::default();
+        layer.infer_into(&x, &mut out);
+        assert_eq!(out.data(), after.data());
+    }
+
+    #[test]
+    fn clone_carries_its_own_pack() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let layer = Linear::new(5, 33, false, &mut rng);
+        let x = Tensor::rand_normal(&[4, 5], 0.0, 1.0, &mut rng);
+        let want = layer.infer(&x);
+
+        // Cloned warm: the copy starts with the panels and gives the same
+        // bits; rewriting the copy's weight leaves the original alone.
+        let mut warm = layer.clone();
+        assert!(warm.packed.0.get().is_some());
+        assert_eq!(warm.infer(&x).data(), want.data());
+        warm.params_mut()[0].value_mut().fill(0.0);
+        assert!(warm.infer(&x).data().iter().all(|&v| v == 0.0));
+        assert_eq!(layer.infer(&x).data(), want.data());
+
+        // Cloned cold (after an update): the copy packs for itself.
+        warm.params_mut();
+        let cold = warm.clone();
+        assert!(cold.packed.0.get().is_none());
+        assert_eq!(cold.infer(&x).data(), warm.infer(&x).data());
+    }
+
+    #[test]
+    fn concurrent_first_use_builds_one_consistent_pack() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let layer = Linear::new(64, 96, true, &mut rng);
+        let x = Tensor::rand_normal(&[13, 64], 0.0, 1.0, &mut rng);
+        let want = layer.clone().infer(&x);
+        // Both threads leave the barrier into a cold layer.
+        let barrier = std::sync::Barrier::new(2);
+        let results: Vec<(Tensor, usize)> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        let out = layer.infer(&x);
+                        (out, layer.packed_weight().as_ptr() as usize)
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("worker panicked"))
+                .collect()
+        });
+        for (out, panels) in &results {
+            assert_eq!(out.data(), want.data());
+            assert_eq!(*panels, results[0].1, "one pack, shared");
+        }
     }
 }

@@ -101,21 +101,6 @@ impl Mlp {
         self.fc2.infer_into(hidden, out);
     }
 
-    /// [`Mlp::infer_into`] staging packed weight panels in a caller-owned
-    /// [`GemmScratch`]. Values are bit-identical to every other inference
-    /// entry point.
-    pub fn infer_with(
-        &self,
-        x: &Tensor,
-        gs: &mut GemmScratch,
-        hidden: &mut Tensor,
-        out: &mut Tensor,
-    ) {
-        self.fc1.infer_with(x, gs, hidden);
-        self.act.apply_inplace(hidden);
-        self.fc2.infer_with(hidden, gs, out);
-    }
-
     /// Computes `self.infer(ln.infer(x))` with the layer norm fused into the
     /// first projection: normalized row tiles stream straight into the packed
     /// GEMM microkernel, so the normalized `[N, dim]` activations never
@@ -134,7 +119,7 @@ impl Mlp {
     ) {
         layer_norm_project_into(ln, &[&self.fc1], x, gs, &mut [hidden]);
         self.act.apply_inplace(hidden);
-        self.fc2.infer_with(hidden, gs, out);
+        self.fc2.infer_into(hidden, out);
     }
 
     /// Multiply–accumulate count for `n` input rows.
@@ -200,7 +185,7 @@ mod tests {
 
         let mut gs = GemmScratch::default();
         let (mut hidden, mut out) = (Tensor::default(), Tensor::default());
-        mlp.infer_with(&normed, &mut gs, &mut hidden, &mut out);
+        mlp.infer_into(&normed, &mut hidden, &mut out);
         assert_eq!(out.data(), want.data());
 
         mlp.infer_fused_ln_with(&ln, &x, &mut gs, &mut hidden, &mut out);

@@ -7,7 +7,7 @@ mod mlp;
 mod norm;
 
 pub use activation::Activation;
-pub use fused::{layer_norm_project_into, MAX_FUSED_PROJECTIONS};
+pub use fused::layer_norm_project_into;
 pub use linear::Linear;
 pub use mlp::Mlp;
 pub use norm::LayerNorm;

@@ -1,7 +1,7 @@
 //! Layer normalization.
 
 use crate::{Module, Param, Tape, Var};
-use heatvit_tensor::Tensor;
+use heatvit_tensor::{mean_var, Tensor};
 
 /// Layer normalization over the channel (last) dimension with a learnable
 /// affine transform.
@@ -80,18 +80,21 @@ impl LayerNorm {
     /// Panics if `x` is not `[N, dim]`.
     pub fn infer_into(&self, x: &Tensor, out: &mut Tensor) {
         assert_eq!(x.dim(1), self.dim, "layernorm width mismatch");
-        let (rows, cols) = (x.dim(0), x.dim(1));
-        let (means, vars) = x.row_mean_var();
+        out.reset_unspecified(x.dims());
+        for r in 0..x.dim(0) {
+            self.normalize_row(x.row(r), out.row_mut(r));
+        }
+    }
+
+    /// One row of [`LayerNorm::infer_into`]: the arithmetic every inference
+    /// path shares.
+    fn normalize_row(&self, x: &[f32], out: &mut [f32]) {
+        let (mean, var) = mean_var(x);
+        let inv_std = 1.0 / (var + self.eps).sqrt();
         let g = self.gamma.value().data();
         let b = self.beta.value().data();
-        out.reset_zeroed(&[rows, cols]);
-        for r in 0..rows {
-            let inv_std = 1.0 / (vars[r] + self.eps).sqrt();
-            let xrow = x.row(r);
-            let orow = out.row_mut(r);
-            for j in 0..cols {
-                orow[j] = (xrow[j] - means[r]) * inv_std * g[j] + b[j];
-            }
+        for (((o, &v), &g), &b) in out.iter_mut().zip(x).zip(g).zip(b) {
+            *o = (v - mean) * inv_std * g + b;
         }
     }
 
@@ -123,24 +126,13 @@ impl LayerNorm {
         assert_eq!(x.dim(1), self.dim, "layernorm width mismatch");
         assert!(rows_per_tile > 0, "tile height must be positive");
         let (rows, cols) = (x.dim(0), x.dim(1));
-        let (means, vars) = x.row_mean_var();
-        let g = self.gamma.value().data();
-        let b = self.beta.value().data();
-        tile_buf.clear();
         tile_buf.resize(rows_per_tile * cols, 0.0);
-        let mut r0 = 0;
-        while r0 < rows {
+        for r0 in (0..rows).step_by(rows_per_tile) {
             let nr = rows_per_tile.min(rows - r0);
-            for r in 0..nr {
-                let inv_std = 1.0 / (vars[r0 + r] + self.eps).sqrt();
-                let xrow = x.row(r0 + r);
-                let trow = &mut tile_buf[r * cols..(r + 1) * cols];
-                for j in 0..cols {
-                    trow[j] = (xrow[j] - means[r0 + r]) * inv_std * g[j] + b[j];
-                }
+            for (r, trow) in tile_buf.chunks_exact_mut(cols).take(nr).enumerate() {
+                self.normalize_row(x.row(r0 + r), trow);
             }
             consume(r0, nr, &tile_buf[..nr * cols]);
-            r0 += nr;
         }
     }
 }

@@ -43,10 +43,11 @@ mod tensor;
 
 pub use error::TensorError;
 pub use matmul::{
-    gemm, gemm_packed, gemm_packed_rows, pack_b, pack_b_into, pack_b_t, packed_len, GemmScratch,
-    MR, NR,
+    f32_kernel, gemm, gemm_packed, gemm_packed_portable, matmul_transb_views, matmul_views, pack_b,
+    packed_len, GemmScratch, MatMut, MatRef, MR, NR,
 };
 pub use random::sample_standard_normal;
+pub use reduce::{mean_var, softmax_inplace};
 pub use shape::Shape;
 pub use tensor::Tensor;
 

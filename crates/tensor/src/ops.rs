@@ -18,6 +18,23 @@ impl Tensor {
         self.zip_map(rhs, |a, b| a + b)
     }
 
+    /// Elementwise sum in place: `self ← self + rhs` (the values of
+    /// [`Tensor::add`] without its allocation).
+    ///
+    /// # Panics
+    ///
+    /// Panics if shapes differ.
+    pub fn add_assign(&mut self, rhs: &Tensor) {
+        assert_eq!(
+            self.dims(),
+            rhs.dims(),
+            "add_assign requires identical shapes"
+        );
+        for (a, &b) in self.data_mut().iter_mut().zip(rhs.data()) {
+            *a += b;
+        }
+    }
+
     /// Elementwise difference.
     ///
     /// # Panics
@@ -334,6 +351,9 @@ mod tests {
         assert_eq!(a.add(&b).sub(&b).data(), a.data());
         assert_eq!(a.mul(&b).div(&b).data(), a.data());
         assert_eq!(a.scale(2.0).data(), a.add(&a).data());
+        let mut c = a.clone();
+        c.add_assign(&b);
+        assert_eq!(c.data(), a.add(&b).data());
     }
 
     #[test]

@@ -1,6 +1,66 @@
 //! Reductions and row-wise normalizations (softmax, log-sum-exp, argmax).
 
+use crate::scalar::exp_nonpos;
 use crate::Tensor;
+
+/// Independent partial sums a softmax row is reduced in: one 16-lane
+/// vector's worth, so the pass vectorizes with a fixed, target-independent
+/// order of additions.
+const LANES: usize = 16;
+
+/// Softmax of one row, in place: `rowᵢ ← e^{rowᵢ − max} / Σⱼ e^{rowⱼ − max}`.
+///
+/// The exponential is [`exp_nonpos`] (so an entry more than ≈ 87 below the
+/// maximum — a masked attention score — becomes exactly `0.0`). The row is
+/// walked in blocks of 16 values: lane `i` sums every whole block's
+/// `i`-th exponential, the lanes are added left to right, then the values
+/// past the last whole block. That order is fixed, so the result is the
+/// same on every target and for every caller. An empty row is left alone.
+pub fn softmax_inplace(row: &mut [f32]) {
+    // The maximum does not depend on the order it is taken in; sixteen
+    // running maxima vectorize where one would be a serial chain.
+    let larger = |m: f32, v: f32| if v > m { v } else { m };
+    let mut maxima = [f32::NEG_INFINITY; LANES];
+    let mut blocks = row.chunks_exact(LANES);
+    for block in &mut blocks {
+        for (m, &v) in maxima.iter_mut().zip(block) {
+            *m = larger(*m, v);
+        }
+    }
+    let tail_max = blocks
+        .remainder()
+        .iter()
+        .copied()
+        .fold(f32::NEG_INFINITY, larger);
+    let max = maxima.into_iter().fold(tail_max, larger);
+
+    let mut lanes = [0.0f32; LANES];
+    let mut blocks = row.chunks_exact_mut(LANES);
+    for block in &mut blocks {
+        for (sum, v) in lanes.iter_mut().zip(block) {
+            *v = exp_nonpos(*v - max);
+            *sum += *v;
+        }
+    }
+    let mut sum = lanes.iter().sum::<f32>();
+    for v in blocks.into_remainder() {
+        *v = exp_nonpos(*v - max);
+        sum += *v;
+    }
+    for v in row.iter_mut() {
+        *v /= sum;
+    }
+}
+
+/// Mean and (population) variance of one row — the statistics of
+/// [`Tensor::row_mean_var`] without its two vectors, for callers that
+/// normalize row by row.
+pub fn mean_var(row: &[f32]) -> (f32, f32) {
+    let n = row.len() as f32;
+    let mean = row.iter().sum::<f32>() / n;
+    let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / n;
+    (mean, var)
+}
 
 impl Tensor {
     /// Sum of all elements.
@@ -106,27 +166,28 @@ impl Tensor {
     ///
     /// Subtracts the row maximum before exponentiation, exactly the trick
     /// the paper's hardware Softmax uses for stability (Eq. 13 uses
-    /// `x̃ᵢ = xᵢ − x_max`).
+    /// `x̃ᵢ = xᵢ − x_max`). See [`softmax_inplace`] for the arithmetic.
     ///
     /// # Panics
     ///
     /// Panics if the tensor is not rank 2.
     pub fn softmax_rows(&self) -> Tensor {
-        assert_eq!(self.rank(), 2, "softmax_rows requires rank 2");
         let mut out = self.clone();
-        let cols = self.dim(1);
-        for row in out.data_mut().chunks_mut(cols) {
-            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut sum = 0.0f32;
-            for v in row.iter_mut() {
-                *v = (*v - max).exp();
-                sum += *v;
-            }
-            for v in row.iter_mut() {
-                *v /= sum;
-            }
-        }
+        out.softmax_rows_inplace();
         out
+    }
+
+    /// [`Tensor::softmax_rows`] overwriting the tensor with its softmax.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tensor is not rank 2.
+    pub fn softmax_rows_inplace(&mut self) {
+        assert_eq!(self.rank(), 2, "softmax_rows requires rank 2");
+        let cols = self.dim(1).max(1);
+        self.data_mut()
+            .chunks_exact_mut(cols)
+            .for_each(softmax_inplace);
     }
 
     /// Log-sum-exp of each row of a rank-2 tensor, shaped `[rows]`.
@@ -160,9 +221,7 @@ impl Tensor {
         let mut means = Vec::with_capacity(self.dim(0));
         let mut vars = Vec::with_capacity(self.dim(0));
         for r in 0..self.dim(0) {
-            let row = self.row(r);
-            let mean = row.iter().sum::<f32>() / cols as f32;
-            let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
+            let (mean, var) = mean_var(self.row(r));
             means.push(mean);
             vars.push(var);
         }

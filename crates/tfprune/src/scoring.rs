@@ -24,8 +24,8 @@ pub(crate) fn cls_attention_scores(block: &EncoderBlock, tokens: &Tensor, s: &mu
     let scale = 1.0 / (hd as f32).sqrt();
     block.ln1().infer_into(tokens, &mut s.normed);
     s.normed.slice_rows_into(0, 1, &mut s.cls_normed);
-    attn.wq().infer_with(&s.cls_normed, &mut s.gs, &mut s.q_cls);
-    attn.wk().infer_with(&s.normed, &mut s.gs, &mut s.k_proj);
+    attn.wq().infer_into(&s.cls_normed, &mut s.q_cls);
+    attn.wk().infer_into(&s.normed, &mut s.k_proj);
     s.scores.clear();
     s.scores.resize(n, 0.0);
     for h in 0..heads {
@@ -54,7 +54,7 @@ pub(crate) fn cls_attention_scores(block: &EncoderBlock, tokens: &Tensor, s: &mu
 /// `scratch.normed`).
 pub(crate) fn add_value_norm_scores(block: &EncoderBlock, s: &mut TfScratch) {
     let attn = block.attention();
-    attn.wv().infer_with(&s.normed, &mut s.gs, &mut s.v_proj);
+    attn.wv().infer_into(&s.normed, &mut s.v_proj);
     let n = s.v_proj.dim(0);
     s.head_row.clear();
     for j in 0..n {

@@ -1,6 +1,6 @@
 //! The reusable workspace of the training-free pruning paths.
 
-use heatvit_tensor::{GemmScratch, Tensor};
+use heatvit_tensor::Tensor;
 use heatvit_vit::InferScratch;
 
 /// Workspace for CLS-attention scoring, token repacking/merging, and the
@@ -14,8 +14,6 @@ use heatvit_vit::InferScratch;
 pub struct TfScratch {
     /// Backbone (per-block) activation buffers.
     pub vit: InferScratch,
-    /// Packed-panel staging for the scoring projections.
-    pub(crate) gs: GemmScratch,
     /// Layer-normed tokens the scoring projections read `[N, D]`.
     pub(crate) normed: Tensor,
     /// The normed class-token row `[1, D]` (query input).

@@ -3,7 +3,7 @@
 use crate::scratch::AttnScratch;
 use heatvit_nn::layers::{layer_norm_project_into, LayerNorm, Linear};
 use heatvit_nn::{Module, Param, Tape, Var};
-use heatvit_tensor::Tensor;
+use heatvit_tensor::{matmul_transb_views, matmul_views, softmax_inplace, Tensor};
 use rand::Rng;
 
 /// Additive score penalty applied to masked-out key columns.
@@ -190,17 +190,17 @@ impl MultiHeadAttention {
         key_mask: Option<&[f32]>,
         scratch: &mut AttnScratch,
     ) -> (Tensor, AttentionMaps) {
-        self.wq.infer_with(x, &mut scratch.gs, &mut scratch.q);
-        self.wk.infer_with(x, &mut scratch.gs, &mut scratch.k);
-        self.wv.infer_with(x, &mut scratch.gs, &mut scratch.v);
+        self.wq.infer_into(x, &mut scratch.q);
+        self.wk.infer_into(x, &mut scratch.k);
+        self.wv.infer_into(x, &mut scratch.v);
         self.attend_with(key_mask, scratch)
     }
 
     /// Computes `self.infer(ln.infer(x), key_mask)` with the layer norm
     /// fused into the Q/K/V projections via
-    /// [`layer_norm_project_into`]: normalized row tiles stream straight
-    /// into the packed GEMM microkernel, so the normalized `[N, dim]`
-    /// activations never materialize. Bit-identical to the unfused path.
+    /// [`layer_norm_project_into`]: blocks of normalized rows go straight
+    /// into the packed GEMM, so the normalized `[N, dim]` activations never
+    /// materialize. Bit-identical to the unfused path.
     ///
     /// # Panics
     ///
@@ -221,42 +221,69 @@ impl MultiHeadAttention {
     /// The shared attention core: consumes the Q/K/V projections already
     /// staged in `scratch` and produces the projected output plus per-head
     /// maps.
+    ///
+    /// Each head reads its column range of Q/K/V in place and writes its
+    /// output into its column range of `scratch.heads`; scale, additive
+    /// mask and softmax run in place on the score buffer, which is then the
+    /// returned map — the maps and the output are the only allocations.
     fn attend_with(
         &self,
         key_mask: Option<&[f32]>,
         scratch: &mut AttnScratch,
     ) -> (Tensor, AttentionMaps) {
-        let n = scratch.q.dim(0);
+        let AttnScratch {
+            q,
+            k,
+            v,
+            heads,
+            penalty,
+            gs,
+        } = scratch;
+        let n = q.dim(0);
+        let scale = 1.0 / (self.head_dim as f32).sqrt();
+        // The penalty a key column adds to every row but its own (see
+        // `additive_mask`); empty without a mask.
+        penalty.clear();
         if let Some(m) = key_mask {
             assert_eq!(m.len(), n, "mask length must equal token count");
+            penalty.extend(
+                m.iter()
+                    .map(|&keep| if keep < 0.5 { MASK_PENALTY } else { 0.0 }),
+            );
         }
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let mask = key_mask.map(Self::additive_mask);
-        let mut outs = Vec::with_capacity(self.num_heads);
+        heads.reset_unspecified(&[n, self.num_heads * self.head_dim]);
         let mut maps = Vec::with_capacity(self.num_heads);
         for h in 0..self.num_heads {
             let (lo, hi) = (h * self.head_dim, (h + 1) * self.head_dim);
-            let qh = scratch.q.slice_cols(lo, hi);
-            let kh = scratch.k.slice_cols(lo, hi);
-            let vh = scratch.v.slice_cols(lo, hi);
-            let mut raw = Tensor::default();
-            qh.matmul_transb_with(&kh, &mut scratch.gs, &mut raw);
-            let mut scores = raw.scale(scale);
-            if let Some(m) = &mask {
-                scores = scores.add(m);
+            let mut attn = Tensor::zeros(&[n, n]);
+            matmul_transb_views(
+                q.col_range(lo, hi),
+                k.col_range(lo, hi),
+                &mut gs.pack,
+                attn.as_mat_mut(),
+            );
+            for (i, row) in attn.data_mut().chunks_exact_mut(n.max(1)).enumerate() {
+                if penalty.is_empty() {
+                    row.iter_mut().for_each(|s| *s *= scale);
+                } else {
+                    let own = row[i] * scale;
+                    for (s, &p) in row.iter_mut().zip(penalty.iter()) {
+                        *s = *s * scale + p;
+                    }
+                    row[i] = own;
+                }
+                softmax_inplace(row);
             }
-            let attn = scores.softmax_rows();
-            let mut oh = Tensor::default();
-            attn.matmul_with(&vh, &mut scratch.gs, &mut oh);
-            outs.push(oh);
+            matmul_views(
+                attn.as_mat(),
+                v.col_range(lo, hi),
+                None,
+                &mut gs.pack,
+                heads.col_range_mut(lo, hi),
+            );
             maps.push(attn);
         }
-        let refs: Vec<&Tensor> = outs.iter().collect();
-        Tensor::concat_cols_into(&refs, &mut scratch.heads);
-        let mut out = Tensor::default();
-        self.proj
-            .infer_with(&scratch.heads, &mut scratch.gs, &mut out);
-        (out, maps)
+        (self.proj.infer(heads), maps)
     }
 
     /// Multiply–accumulate count for `n` tokens, split per paper Table II:
@@ -341,8 +368,9 @@ mod tests {
         for map in &maps {
             for r in 0..4 {
                 if r != 2 {
-                    assert!(
-                        map.at(&[r, 2]) < 1e-6,
+                    assert_eq!(
+                        map.at(&[r, 2]),
+                        0.0,
                         "row {r} still attends to masked token"
                     );
                 }

@@ -92,22 +92,24 @@ impl EncoderBlock {
         key_mask: Option<&[f32]>,
         scratch: &mut InferScratch,
     ) -> (Tensor, AttentionMaps) {
-        // Both layer norms are fused into their downstream projections: the
-        // normalized activations stream tile-by-tile into the packed GEMM
-        // microkernel instead of round-tripping through `scratch.normed`.
-        let (attn_out, maps) = self
+        // Both layer norms are fused into their downstream projections:
+        // blocks of normalized rows go straight into the packed GEMM instead
+        // of round-tripping through a `[N, dim]` temporary. The residuals are
+        // added in place, so the attention output is the only tensor the
+        // block allocates besides the maps.
+        let (mut x1, maps) = self
             .attn
             .infer_ln_with(&self.ln1, x, key_mask, &mut scratch.attn);
-        let x = attn_out.add(x);
+        x1.add_assign(x);
         self.ffn.infer_fused_ln_with(
             &self.ln2,
-            &x,
+            &x1,
             &mut scratch.gs,
             &mut scratch.ffn_hidden,
             &mut scratch.ffn_out,
         );
-        let y = scratch.ffn_out.add(&x);
-        (y, maps)
+        x1.add_assign(&scratch.ffn_out);
+        (x1, maps)
     }
 
     /// Multiply–accumulate count for `n` tokens (linear + attention parts).

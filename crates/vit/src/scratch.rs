@@ -28,7 +28,10 @@ pub struct AttnScratch {
     pub(crate) v: Tensor,
     /// Concatenated per-head outputs `[N, D]`.
     pub(crate) heads: Tensor,
-    /// Packed-GEMM workspace (weight panels + fused layer-norm tiles).
+    /// Additive score penalty per key column when a key mask is given.
+    pub(crate) penalty: Vec<f32>,
+    /// Packed-GEMM workspace (per-head `Kᵀ`/`V` panels + fused layer-norm
+    /// blocks).
     pub(crate) gs: GemmScratch,
 }
 
@@ -45,7 +48,7 @@ pub struct InferScratch {
     pub(crate) ffn_hidden: Tensor,
     /// FFN output `[N, D]`.
     pub(crate) ffn_out: Tensor,
-    /// Packed-GEMM workspace for the block-level (FFN) projections.
+    /// Staging for the FFN's fused layer-norm blocks.
     pub(crate) gs: GemmScratch,
 }
 

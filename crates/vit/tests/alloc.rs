@@ -1,14 +1,14 @@
-//! Pins the int8 forward pass's heap traffic: with a warm [`QuantScratch`]
-//! one image costs what its *result* owns (logits, the per-block token
-//! counts) — not a request per pixel, per attention score, per layer norm
-//! or per GEMM.
+//! Pins the f32 forward pass's heap traffic: with a warm [`InferScratch`] a
+//! dense DeiT-T image costs what the blocks' *results* own — the per-head
+//! attention maps every block returns and its output tokens — plus a
+//! constant for patch embedding and the head; not a request per head slice,
+//! per score matrix or per packed weight.
 //!
 //! A `#[global_allocator]` is process-wide, so this test lives in a binary of
 //! its own and counts on the calling thread only.
 
-use heatvit_quant::{QuantPruneStage, QuantScratch, QuantizedViT};
 use heatvit_tensor::Tensor;
-use heatvit_vit::{ViTConfig, VisionTransformer};
+use heatvit_vit::{InferScratch, ViTConfig, VisionTransformer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -61,37 +61,27 @@ fn requests_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
 }
 
 #[test]
-fn warm_int8_inference_stays_within_its_heap_budget() {
+fn warm_dense_deit_tiny_image_stays_within_its_heap_budget() {
     let mut rng = StdRng::seed_from_u64(0);
-    let float_model = VisionTransformer::new(ViTConfig::micro(8), &mut rng);
-    let images: Vec<Tensor> = (0..3)
-        .map(|_| Tensor::rand_uniform(&[3, 32, 32], 0.0, 1.0, &mut rng))
-        .collect();
-    let dense = QuantizedViT::from_float(&float_model);
-    let mut calibrated = dense.clone();
-    calibrated.calibrate(&images);
-    let adaptive = dense.clone().with_prune_stages(vec![QuantPruneStage {
-        block: 2,
-        attn_frac: 0.9,
-    }]);
-    for (name, model) in [
-        ("dynamic", &dense),
-        ("calibrated", &calibrated),
-        ("adaptive", &adaptive),
-    ] {
-        let mut scratch = QuantScratch::default();
-        for image in &images {
-            model.infer_with(image, &mut scratch);
-        }
-        let (out, requests) = requests_during(|| model.infer_with(&images[0], &mut scratch));
-        assert!(!out.tokens_per_block.is_empty());
-        // What is left: the result (logits, per-block token counts). The
-        // 32×32 image alone has 3072 pixels and each block 3 × 16 class-row
-        // scores: a request per element, or one per block, breaks the bound.
-        let budget = 5;
-        assert!(
-            requests <= budget,
-            "{name}: {requests} heap requests for one warm image (budget {budget})"
-        );
-    }
+    let config = ViTConfig::deit_tiny();
+    let (depth, heads) = (config.depth as u64, config.num_heads as u64);
+    let model = VisionTransformer::new(config, &mut rng);
+    let image = Tensor::rand_uniform(&[3, 224, 224], 0.0, 1.0, &mut rng);
+    let mut scratch = InferScratch::default();
+    // Warm: scratch buffers at their high-water mark, every weight packed.
+    let first = model.infer_with(&image, &mut scratch);
+
+    let (logits, requests) = requests_during(|| model.infer_with(&image, &mut scratch));
+    assert_eq!(logits.data(), first.data(), "warm and cold runs must agree");
+    // What a block's API hands back is the floor: a `Vec` of `heads` maps and
+    // its output tokens, a shape and a buffer each.
+    let floor = depth * (1 + 2 * heads + 2);
+    assert!(
+        requests >= floor,
+        "{requests} requests is below the {floor} the returned tensors own: miscounted"
+    );
+    assert!(
+        requests <= 150,
+        "{requests} heap requests for one warm dense DeiT-T image (budget 150, floor {floor})"
+    );
 }
