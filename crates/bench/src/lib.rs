@@ -218,6 +218,7 @@ pub fn hand_placed_schedule() -> heatvit_selector::PruningSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use heatvit_vit::TokenPolicy;
 
     #[test]
     fn fixtures_are_deterministic_and_consistent() {

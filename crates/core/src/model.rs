@@ -1,13 +1,19 @@
 //! The [`InferenceModel`] trait: one interface over the dense, adaptively
 //! pruned, statically pruned, training-free pruned, and int8-quantized ViT
 //! variants.
+//!
+//! The five pruned f32 variants are [`TokenPolicy`] implementations that
+//! run the backbone's one pruning loop, so their `infer_one` and
+//! `cost_profile` are written once (`policy_output`, `policy_profile`)
+//! and each impl delegates to them; only the dense backbone and the int8
+//! pipeline have loops of their own.
 
 use crate::latency::CostProfile;
 use heatvit_quant::QuantizedViT;
 use heatvit_selector::{PruneScratch, PrunedViT, StaticPrunedViT};
 use heatvit_tensor::Tensor;
 use heatvit_tfprune::{ClsAttnPrunedViT, TokenMergeViT, TopKPrunedViT};
-use heatvit_vit::{ViTConfig, VisionTransformer};
+use heatvit_vit::{TokenPolicy, ViTConfig, VisionTransformer};
 
 /// Result of one image's inference through any model variant.
 #[derive(Debug, Clone)]
@@ -148,46 +154,6 @@ impl InferenceModel for VisionTransformer {
     }
 }
 
-impl InferenceModel for PrunedViT {
-    fn variant(&self) -> &str {
-        Self::VARIANT
-    }
-
-    fn config(&self) -> &ViTConfig {
-        self.backbone().config()
-    }
-
-    fn infer_one(&self, image: &Tensor, scratch: &mut PruneScratch) -> ModelOutput {
-        let inference = self.infer_with(image, scratch);
-        let macs = self.macs(&inference);
-        ModelOutput {
-            logits: inference.logits,
-            tokens_per_block: inference.tokens_per_block,
-            macs,
-        }
-    }
-
-    fn dense_macs(&self) -> u64 {
-        self.backbone().macs()
-    }
-
-    /// Nominal-keep expectation: per-image counts vary with input content
-    /// (`exact == false` whenever a selector is installed), but the
-    /// declared keep schedule is what the selectors were trained toward.
-    fn cost_profile(&self) -> CostProfile {
-        let tokens = self.expected_tokens_per_block();
-        let macs = self.macs_for_tokens(&tokens);
-        CostProfile {
-            variant: self.variant().to_string(),
-            config: InferenceModel::config(self).clone(),
-            exact: self.selector_blocks().is_empty(),
-            quantized: false,
-            macs,
-            tokens_per_block: tokens,
-        }
-    }
-}
-
 impl InferenceModel for QuantizedViT {
     /// `"int8-dense"` or `"int8-adaptive"` depending on pruning stages.
     fn variant(&self) -> &str {
@@ -236,164 +202,68 @@ impl InferenceModel for QuantizedViT {
     }
 }
 
-impl InferenceModel for StaticPrunedViT {
-    fn variant(&self) -> &str {
-        Self::VARIANT
-    }
-
-    fn config(&self) -> &ViTConfig {
-        self.backbone().config()
-    }
-
-    fn infer_one(&self, image: &Tensor, scratch: &mut PruneScratch) -> ModelOutput {
-        let inference = self.infer_with(image, scratch);
-        let macs = self.macs(&inference);
-        ModelOutput {
-            logits: inference.logits,
-            tokens_per_block: inference.tokens_per_block,
-            macs,
-        }
-    }
-
-    fn dense_macs(&self) -> u64 {
-        self.backbone().macs()
-    }
-
-    /// Exact profile: static pruning is input-agnostic, so the planned
-    /// schedule is the schedule every image executes.
-    fn cost_profile(&self) -> CostProfile {
-        let tokens = self.planned_tokens_per_block();
-        let macs = self.macs_for_tokens(&tokens);
-        CostProfile {
-            variant: self.variant().to_string(),
-            config: InferenceModel::config(self).clone(),
-            exact: true,
-            quantized: false,
-            macs,
-            tokens_per_block: tokens,
-        }
+/// One pruned inference as the engine reports it: the policy loop run in
+/// the f32 compartment of `scratch`, its MACs stage overhead included.
+fn policy_output<P: TokenPolicy>(
+    policy: &P,
+    image: &Tensor,
+    scratch: &mut PruneScratch,
+) -> ModelOutput {
+    let inference = policy.infer_with(image, &mut scratch.vit);
+    ModelOutput {
+        macs: policy.macs_for_tokens(&inference.tokens_per_block),
+        logits: inference.logits,
+        tokens_per_block: inference.tokens_per_block,
     }
 }
 
-impl InferenceModel for ClsAttnPrunedViT {
-    fn variant(&self) -> &str {
-        Self::VARIANT
-    }
-
-    fn config(&self) -> &ViTConfig {
-        self.backbone().config()
-    }
-
-    /// Runs through the `tf` compartment of [`PruneScratch`] (scoring
-    /// projections, repack buffers, and its own backbone scratch), leaving
-    /// the learned-selector compartments untouched.
-    fn infer_one(&self, image: &Tensor, scratch: &mut PruneScratch) -> ModelOutput {
-        let inference = self.infer_with(image, &mut scratch.tf);
-        let macs = self.macs(&inference);
-        ModelOutput {
-            logits: inference.logits,
-            tokens_per_block: inference.tokens_per_block,
-            macs,
-        }
-    }
-
-    fn dense_macs(&self) -> u64 {
-        self.backbone().macs()
-    }
-
-    /// Exact profile: *which* tokens survive varies per image, *how many*
-    /// never does, and the scoring overhead is charged into `macs`.
-    fn cost_profile(&self) -> CostProfile {
-        let tokens = self.planned_tokens_per_block();
-        let macs = self.macs_for_tokens(&tokens);
-        CostProfile {
-            variant: self.variant().to_string(),
-            config: InferenceModel::config(self).clone(),
-            exact: true,
-            quantized: false,
-            macs,
-            tokens_per_block: tokens,
-        }
+/// The planned token schedule and its MACs: exact for the input-agnostic
+/// policies (*which* tokens survive varies per image, *how many* never
+/// does), the declared nominal keep of the learned selectors otherwise.
+fn policy_profile<P: TokenPolicy + InferenceModel>(policy: &P) -> CostProfile {
+    let tokens = policy.planned_tokens_per_block();
+    CostProfile {
+        variant: policy.variant().to_string(),
+        config: InferenceModel::config(policy).clone(),
+        exact: policy.plan_is_exact(),
+        quantized: false,
+        macs: policy.macs_for_tokens(&tokens),
+        tokens_per_block: tokens,
     }
 }
 
-impl InferenceModel for TokenMergeViT {
-    fn variant(&self) -> &str {
-        Self::VARIANT
-    }
+/// [`InferenceModel`] for each pruned f32 variant, delegating to the
+/// [`TokenPolicy`] loop.
+macro_rules! token_policy_models {
+    ($($model:ty),+) => {$(
+        impl InferenceModel for $model {
+            fn variant(&self) -> &str {
+                Self::VARIANT
+            }
 
-    fn config(&self) -> &ViTConfig {
-        self.backbone().config()
-    }
+            fn config(&self) -> &ViTConfig {
+                TokenPolicy::backbone(self).config()
+            }
 
-    /// Runs through the `tf` compartment of [`PruneScratch`], like the
-    /// hard-drop variant it shares its schedule with.
-    fn infer_one(&self, image: &Tensor, scratch: &mut PruneScratch) -> ModelOutput {
-        let inference = self.infer_with(image, &mut scratch.tf);
-        let macs = self.macs(&inference);
-        ModelOutput {
-            logits: inference.logits,
-            tokens_per_block: inference.tokens_per_block,
-            macs,
+            fn infer_one(&self, image: &Tensor, scratch: &mut PruneScratch) -> ModelOutput {
+                policy_output(self, image, scratch)
+            }
+
+            fn dense_macs(&self) -> u64 {
+                TokenPolicy::backbone(self).macs()
+            }
+
+            fn cost_profile(&self) -> CostProfile {
+                policy_profile(self)
+            }
         }
-    }
-
-    fn dense_macs(&self) -> u64 {
-        self.backbone().macs()
-    }
-
-    /// Exact profile at the hard drop's token schedule, plus the charged
-    /// merge (cosine-similarity) overhead.
-    fn cost_profile(&self) -> CostProfile {
-        let tokens = self.planned_tokens_per_block();
-        let macs = self.macs_for_tokens(&tokens);
-        CostProfile {
-            variant: self.variant().to_string(),
-            config: InferenceModel::config(self).clone(),
-            exact: true,
-            quantized: false,
-            macs,
-            tokens_per_block: tokens,
-        }
-    }
+    )+};
 }
 
-impl InferenceModel for TopKPrunedViT {
-    fn variant(&self) -> &str {
-        Self::VARIANT
-    }
-
-    fn config(&self) -> &ViTConfig {
-        self.backbone().config()
-    }
-
-    /// Runs through the `tf` compartment of [`PruneScratch`].
-    fn infer_one(&self, image: &Tensor, scratch: &mut PruneScratch) -> ModelOutput {
-        let inference = self.infer_with(image, &mut scratch.tf);
-        let macs = self.macs(&inference);
-        ModelOutput {
-            logits: inference.logits,
-            tokens_per_block: inference.tokens_per_block,
-            macs,
-        }
-    }
-
-    fn dense_macs(&self) -> u64 {
-        self.backbone().macs()
-    }
-
-    /// Exact profile: the keep counts are literal, so the planned schedule
-    /// is the executed schedule.
-    fn cost_profile(&self) -> CostProfile {
-        let tokens = self.planned_tokens_per_block();
-        let macs = self.macs_for_tokens(&tokens);
-        CostProfile {
-            variant: self.variant().to_string(),
-            config: InferenceModel::config(self).clone(),
-            exact: true,
-            quantized: false,
-            macs,
-            tokens_per_block: tokens,
-        }
-    }
-}
+token_policy_models!(
+    PrunedViT,
+    StaticPrunedViT,
+    ClsAttnPrunedViT,
+    TokenMergeViT,
+    TopKPrunedViT
+);

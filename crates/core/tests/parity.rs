@@ -9,7 +9,7 @@ use heatvit_quant::{QuantPruneStage, QuantizedViT};
 use heatvit_selector::{PrunedViT, StaticPrunedViT, StaticRule, StaticStage, TokenSelector};
 use heatvit_tensor::Tensor;
 use heatvit_tfprune::{ClsAttnPrunedViT, TfStage, TokenMergeViT, TopKPrunedViT, TopKStage};
-use heatvit_vit::{ViTConfig, VisionTransformer};
+use heatvit_vit::{TokenPolicy, ViTConfig, VisionTransformer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

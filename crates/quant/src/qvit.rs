@@ -27,7 +27,10 @@ use crate::scratch::QuantScratch;
 use heatvit_nn::layers::LayerNorm;
 use heatvit_tensor::Tensor;
 use heatvit_vit::flops::BlockComplexity;
-use heatvit_vit::{image_to_patches_into, EncoderBlock, ViTConfig, VisionTransformer};
+use heatvit_vit::{
+    image_to_patches_into, nominal_tokens, validate_stage_blocks, EncoderBlock, ViTConfig,
+    VisionTransformer,
+};
 
 /// Effective int8 speedup from DSP packing: the accelerator fits two int8
 /// MACs per DSP slice, for a measured ~1.9× throughput gain over fp16/fp32
@@ -442,16 +445,13 @@ impl QuantizedViT {
     /// Panics if stages are out of order, start before block 1, exceed the
     /// depth, or have thresholds outside `(0, 1]`.
     pub fn with_prune_stages(mut self, stages: Vec<QuantPruneStage>) -> Self {
-        let mut last = 0;
+        validate_stage_blocks(stages.iter().map(|s| s.block), self.config.depth);
         for s in &stages {
             assert!(s.block >= 1, "stage needs the previous block's attention");
-            assert!(s.block < self.config.depth, "stage block out of range");
-            assert!(s.block > last || last == 0, "stages must be in block order");
             assert!(
                 s.attn_frac > 0.0 && s.attn_frac <= 1.0,
                 "attention threshold fraction must be in (0, 1]"
             );
-            last = s.block;
         }
         self.stages = stages;
         self.nominal_keep.clear();
@@ -529,8 +529,7 @@ impl QuantizedViT {
                     next = stage_iter.next();
                 }
             }
-            let kept = ((keep * n as f32).ceil() as usize).clamp(1, n);
-            out.push(kept + 1 + usize::from(keep < 1.0));
+            out.push(nominal_tokens(keep, n, true));
         }
         out
     }

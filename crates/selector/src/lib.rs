@@ -10,10 +10,12 @@
 //!   (Eq. 9);
 //! * [`packager`] — keep-score-weighted consolidation of pruned tokens into
 //!   one package token (Eq. 10);
-//! * [`PrunedViT`] — a backbone with selectors interleaved, performing
-//!   *dense repacking* so every downstream GEMM stays dense (the hardware
-//!   token-selection flow of Fig. 9);
-//! * [`StaticPrunedViT`] — the static-pruning baselines of Section II-D;
+//! * [`PrunedViT`] — a backbone with selectors interleaved: the selector
+//!   decision and package token as a [`heatvit_vit::TokenPolicy`], whose
+//!   shared loop repacks the survivors *densely* so every downstream GEMM
+//!   stays dense (the hardware token-selection flow of Fig. 9);
+//! * [`StaticPrunedViT`] — the static-pruning baselines of Section II-D,
+//!   the same loop under an input-agnostic policy;
 //! * [`ConvTokenClassifier`] — the convolution-based strawman of Fig. 12;
 //! * [`PruningSchedule`] — placement/keep-ratio bookkeeping with
 //!   block-to-stage merging.
@@ -50,9 +52,9 @@ mod static_prune;
 mod variants;
 
 pub use classifier::{ClassifierOutput, MultiHeadTokenClassifier};
-pub use pruned::{PrunedInference, PrunedTrainOutput, PrunedViT};
+pub use pruned::{PrunedTrainOutput, PrunedViT};
 pub use schedule::{PruningSchedule, SelectorPlacement};
 pub use scratch::PruneScratch;
 pub use selector::{InferDecision, TokenSelector, TrainDecision};
-pub use static_prune::{StaticInference, StaticPrunedViT, StaticRule, StaticStage};
+pub use static_prune::{StaticPrunedViT, StaticRule, StaticStage};
 pub use variants::ConvTokenClassifier;

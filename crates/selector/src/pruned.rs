@@ -4,29 +4,18 @@
 //! shrink the token matrix, pruned tokens are consolidated into a package
 //! token, and the surviving tokens are repacked *densely* so every downstream
 //! GEMM runs on a smaller dense matrix — exactly the accelerator's token
-//! selection flow (Fig. 9).
+//! selection flow (Fig. 9). The inference loop is the shared
+//! [`TokenPolicy`] one; this module supplies the selector decision and the
+//! package token, plus the differentiable training forward.
 
 use crate::packager::{package_tokens, package_tokens_tape};
-use crate::scratch::PruneScratch;
 use crate::selector::{InferDecision, TokenSelector, TrainDecision};
 use heatvit_nn::{Module, Param, Tape, Var};
 use heatvit_tensor::Tensor;
-use heatvit_vit::VisionTransformer;
+use heatvit_vit::{
+    nominal_tokens, PrunedInference, StageInput, StageScratch, TokenPolicy, VisionTransformer,
+};
 use rand::Rng;
-
-/// Inference result of a pruned ViT.
-#[derive(Debug, Clone)]
-pub struct PrunedInference {
-    /// Classification logits `[1, classes]`.
-    pub logits: Tensor,
-    /// Token count entering each block (including class/package tokens).
-    pub tokens_per_block: Vec<usize>,
-    /// Keep fraction decided by each selector, in placement order.
-    pub selector_keep_fractions: Vec<f32>,
-    /// For each selector, the original patch-grid indices that survived it
-    /// (package/class tokens excluded). Used by the Fig. 4 visualization.
-    pub surviving_patches: Vec<Vec<usize>>,
-}
 
 /// Differentiable forward result of a pruned ViT.
 #[derive(Debug)]
@@ -65,14 +54,6 @@ pub struct PrunedViT {
     /// selectors decide the actual per-image keep set.
     nominal_keep: Vec<f32>,
 }
-
-// Serving worker pools own models and move them across threads; a future
-// non-`Send`/`Sync` field must fail to build here rather than at the spawn
-// site.
-const _: fn() = || {
-    fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<PrunedViT>();
-};
 
 impl PrunedViT {
     /// Canonical variant label this backend registers in engine and serving
@@ -166,103 +147,10 @@ impl PrunedViT {
             .collect()
     }
 
-    /// Inference with dense token repacking.
+    /// Inference with dense token repacking ([`TokenPolicy::infer`], kept
+    /// inherent so callers need not import the trait).
     pub fn infer(&self, image: &Tensor) -> PrunedInference {
-        self.infer_with(image, &mut PruneScratch::default())
-    }
-
-    /// [`PrunedViT::infer`] reusing a caller-provided scratch workspace.
-    ///
-    /// Bit-identical to the allocating path: the keep-mask partitions, the
-    /// gathered/repacked token matrices, and the backbone activations all
-    /// live in `scratch`, so a warmed-up workspace makes the repacking flow
-    /// allocation-free per image — the software mirror of the accelerator's
-    /// token-selection pipeline writing into fixed on-chip buffers (paper
-    /// Fig. 9).
-    pub fn infer_with(&self, image: &Tensor, scratch: &mut PruneScratch) -> PrunedInference {
-        let mut tokens = self.backbone.patch_embed().infer(image);
-        // Original patch index of each current row (None = class or package).
-        scratch.origin.clear();
-        scratch.origin.push(None);
-        scratch.origin.extend((0..tokens.dim(0) - 1).map(Some));
-        let mut tokens_per_block = Vec::with_capacity(self.backbone.config().depth);
-        let mut fractions = Vec::new();
-        let mut surviving = Vec::new();
-        for (block, selector) in self.backbone.blocks().iter().zip(self.selectors.iter()) {
-            if let Some(sel) = selector {
-                let n = tokens.dim(0);
-                tokens.slice_rows_into(1, n, &mut scratch.patches);
-                let decision: InferDecision = sel.infer(&scratch.patches);
-                scratch.kept.clear();
-                scratch.pruned.clear();
-                for (i, &keep) in decision.keep.iter().enumerate() {
-                    if keep {
-                        scratch.kept.push(i);
-                    } else {
-                        scratch.pruned.push(i);
-                    }
-                }
-                fractions.push(decision.keep_fraction());
-                surviving.push(
-                    scratch
-                        .kept
-                        .iter()
-                        .filter_map(|&i| scratch.origin[i + 1])
-                        .collect::<Vec<usize>>(),
-                );
-                tokens.slice_rows_into(0, 1, &mut scratch.cls);
-                scratch
-                    .patches
-                    .gather_rows_into(&scratch.kept, &mut scratch.kept_rows);
-                scratch.new_origin.clear();
-                scratch.new_origin.push(None);
-                scratch
-                    .new_origin
-                    .extend(scratch.kept.iter().map(|&i| scratch.origin[i + 1]));
-                let mut parts: Vec<&Tensor> = vec![&scratch.cls, &scratch.kept_rows];
-                let package;
-                if self.package_enabled {
-                    scratch
-                        .patches
-                        .gather_rows_into(&scratch.pruned, &mut scratch.pruned_rows);
-                    scratch.pruned_scores.clear();
-                    scratch
-                        .pruned_scores
-                        .extend(scratch.pruned.iter().map(|&i| decision.keep_scores[i]));
-                    if let Some(p) = package_tokens(&scratch.pruned_rows, &scratch.pruned_scores) {
-                        package = p;
-                        parts.push(&package);
-                        scratch.new_origin.push(None);
-                    }
-                }
-                Tensor::concat_rows_into(&parts, &mut scratch.repacked);
-                drop(parts);
-                // Hand the repacked matrix to `tokens` and recycle the old
-                // token storage as the next stage's repack buffer.
-                std::mem::swap(&mut tokens, &mut scratch.repacked);
-                std::mem::swap(&mut scratch.origin, &mut scratch.new_origin);
-            }
-            tokens_per_block.push(tokens.dim(0));
-            let (out, _) = block.infer_with(&tokens, None, &mut scratch.vit);
-            tokens = out;
-        }
-        PrunedInference {
-            logits: self.backbone.classify_tokens_infer(&tokens),
-            tokens_per_block,
-            selector_keep_fractions: fractions,
-            surviving_patches: surviving,
-        }
-    }
-
-    /// Runs a batch of images through one shared scratch workspace.
-    /// Equivalent to mapping [`PrunedViT::infer`] over `images`, with warm
-    /// buffers after the first image.
-    pub fn infer_batch(&self, images: &[Tensor]) -> Vec<PrunedInference> {
-        let mut scratch = PruneScratch::default();
-        images
-            .iter()
-            .map(|image| self.infer_with(image, &mut scratch))
-            .collect()
+        TokenPolicy::infer(self, image)
     }
 
     /// Differentiable forward with Gumbel-sampled hard pruning.
@@ -335,32 +223,6 @@ impl PrunedViT {
         }
     }
 
-    /// Predicted class for one image.
-    pub fn predict(&self, image: &Tensor) -> usize {
-        self.infer(image).logits.argmax_rows()[0]
-    }
-
-    /// Multiply–accumulate count of one inference, including selector
-    /// overhead, using the actual per-block token counts from `inference`.
-    pub fn macs(&self, inference: &PrunedInference) -> u64 {
-        self.macs_for_tokens(&inference.tokens_per_block)
-    }
-
-    /// [`PrunedViT::macs`] at an arbitrary per-block token schedule —
-    /// the cost-prediction entry point (e.g. over
-    /// [`PrunedViT::expected_tokens_per_block`], no inference needed).
-    pub fn macs_for_tokens(&self, tokens_per_block: &[usize]) -> u64 {
-        let mut total = self.backbone.patch_embed().macs();
-        for (i, block) in self.backbone.blocks().iter().enumerate() {
-            let n = tokens_per_block[i];
-            total += block.macs(n);
-            if let Some(sel) = &self.selectors[i] {
-                total += sel.macs(n.saturating_sub(1));
-            }
-        }
-        total + self.backbone.config().embed_dim as u64 * self.backbone.config().num_classes as u64
-    }
-
     /// Declares the nominal keep ratio of the selector at `block`: the
     /// fraction of the *original* patch tokens expected to survive from
     /// that block on (the schedule's target keep, paper Table I). Cost
@@ -386,21 +248,72 @@ impl PrunedViT {
     pub fn nominal_keep(&self) -> &[f32] {
         &self.nominal_keep
     }
+}
 
-    /// Expected token count entering each block under the declared nominal
-    /// keep ratios: kept patches + class token + package token once pruning
-    /// has begun (if packaging is enabled). With no declarations this is
-    /// the dense schedule — a conservative (over-)estimate for cost
-    /// prediction.
-    pub fn expected_tokens_per_block(&self) -> Vec<usize> {
-        let n = self.backbone.config().num_patches() as f32;
-        self.nominal_keep
-            .iter()
-            .map(|&k| {
-                let kept = ((k * n).ceil() as usize).clamp(1, n as usize);
-                kept + 1 + usize::from(k < 1.0 && self.package_enabled)
-            })
-            .collect()
+impl TokenPolicy for PrunedViT {
+    fn backbone(&self) -> &VisionTransformer {
+        &self.backbone
+    }
+
+    fn has_stage(&self, block: usize) -> bool {
+        self.selectors.get(block).is_some_and(Option::is_some)
+    }
+
+    /// The selector's deterministic decision; `order` receives the pruned
+    /// rows and `scores` every row's keep score, the package token's input.
+    fn select(&self, stage: &StageInput<'_>, ws: &mut StageScratch) {
+        let selector = self.selectors[stage.index]
+            .as_ref()
+            .expect("stage has a selector");
+        let InferDecision { keep, keep_scores } = selector.infer(stage.patches);
+        ws.kept.clear();
+        ws.order.clear();
+        for (i, keep) in keep.into_iter().enumerate() {
+            if keep {
+                ws.kept.push(i);
+            } else {
+                ws.order.push(i);
+            }
+        }
+        ws.scores = keep_scores;
+    }
+
+    /// Packages the pruned rows into one token (paper Eq. 10), unless the
+    /// packager is disabled.
+    fn consolidate(
+        &self,
+        patches: &Tensor,
+        _kept_rows: &mut Tensor,
+        ws: &mut StageScratch,
+    ) -> Option<Tensor> {
+        if !self.package_enabled {
+            return None;
+        }
+        patches.gather_rows_into(&ws.order, &mut ws.rows);
+        ws.weights.clear();
+        ws.weights.extend(ws.order.iter().map(|&i| ws.scores[i]));
+        package_tokens(&ws.rows, &ws.weights)
+    }
+
+    /// The declared nominal keep of `block` (the selectors decide per
+    /// image, so this is an expectation: a dense-shaped over-estimate
+    /// without declarations).
+    fn stage_tokens(&self, block: usize, _tokens: usize) -> usize {
+        let patches = self.backbone.config().num_patches();
+        nominal_tokens(self.nominal_keep[block], patches, self.package_enabled)
+    }
+
+    fn plan_is_exact(&self) -> bool {
+        self.selectors.iter().all(Option::is_none)
+    }
+
+    /// The classifier's MACs, charged at the patch rows *leaving* the stage
+    /// (it scores the rows entering it) — the accounting every recorded MAC
+    /// figure of this model uses.
+    fn stage_macs(&self, block: usize, _tokens_in: usize, tokens_out: usize) -> u64 {
+        self.selectors[block]
+            .as_ref()
+            .map_or(0, |s| s.macs(tokens_out.saturating_sub(1)))
     }
 }
 
@@ -448,7 +361,7 @@ mod tests {
         let image = Tensor::rand_uniform(&[3, 16, 16], 0.0, 1.0, &mut rng);
         let out = model.infer(&image);
         assert!(out.logits.allclose(&model.backbone().infer(&image), 1e-5));
-        assert!(out.selector_keep_fractions.is_empty());
+        assert!(out.keep_fractions.is_empty());
     }
 
     #[test]
@@ -462,7 +375,7 @@ mod tests {
         // After a selector the count can only shrink or stay (plus package).
         assert!(out.tokens_per_block[2] <= 18);
         assert!(out.tokens_per_block[4] <= out.tokens_per_block[2] + 1);
-        assert_eq!(out.selector_keep_fractions.len(), 2);
+        assert_eq!(out.keep_fractions.len(), 2);
     }
 
     #[test]
@@ -574,7 +487,7 @@ mod tests {
         model.set_package_enabled(false);
         let without = model.infer(&image);
         // If anything was pruned, discard mode has one token fewer.
-        let s1 = with_package.selector_keep_fractions[0];
+        let s1 = with_package.keep_fractions[0];
         if s1 < 1.0 {
             assert!(without.tokens_per_block[2] < with_package.tokens_per_block[2]);
         }
@@ -585,9 +498,9 @@ mod tests {
         let (model, mut rng) = pruned_model(6);
         let image = Tensor::rand_uniform(&[3, 32, 32], 0.0, 1.0, &mut rng);
         let out = model.infer(&image);
-        let pruned_macs = model.macs(&out);
+        let pruned_macs = model.macs_for_tokens(&out.tokens_per_block);
         let dense_macs = model.backbone().macs();
-        if out.selector_keep_fractions.iter().any(|&f| f < 0.9) {
+        if out.keep_fractions.iter().any(|&f| f < 0.9) {
             assert!(pruned_macs < dense_macs);
         }
     }

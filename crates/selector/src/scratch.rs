@@ -1,57 +1,25 @@
-//! Reusable buffers for the pruned inference paths.
+//! The engine's per-worker workspace.
 //!
-//! Both the adaptive ([`crate::PrunedViT`]) and static
-//! ([`crate::StaticPrunedViT`]) models repeat the same repacking dance per
-//! selector stage: slice off the class token, score the patch tokens, gather
-//! the survivors into a smaller dense matrix, and concatenate the parts back
-//! together. [`PruneScratch`] owns every buffer that dance needs — tensors
-//! for the sliced/gathered/repacked matrices, index vectors for the
-//! keep/prune partitions, and the backbone's [`InferScratch`] — so a batched
-//! engine allocates them once per batch instead of once per image.
+//! Every f32 variant — dense or pruned by any [`heatvit_vit::TokenPolicy`] —
+//! runs in one [`InferScratch`]: the backbone's activation buffers, the
+//! dense repack between blocks, and the stages' scoring and consolidation
+//! buffers. The int8 pipeline keeps its own [`QuantScratch`]. A batched
+//! engine allocates both once per worker instead of once per image.
 
 use heatvit_quant::QuantScratch;
-use heatvit_tensor::Tensor;
-use heatvit_tfprune::TfScratch;
 use heatvit_vit::InferScratch;
 
-/// Workspace for dense token repacking plus backbone inference.
+/// Workspace for one image at a time through any workspace model.
 ///
 /// Cheap to construct; the single-image convenience paths build a fresh one,
 /// which makes the scratch and non-scratch paths execute identical
 /// arithmetic (bit-identical results).
 #[derive(Debug, Clone, Default)]
 pub struct PruneScratch {
-    /// Backbone (per-block) activation buffers.
+    /// Buffers of the f32 models: blocks, repack and token-policy stages.
     pub vit: InferScratch,
-    /// Integer-pipeline buffers (used by the `heatvit-quant` backend when it
-    /// runs under the same batched engine; unused by the float variants).
+    /// Buffers of the int8 pipeline (`heatvit-quant`).
     pub quant: QuantScratch,
-    /// Training-free pruning buffers (used by the `heatvit-tfprune` backends
-    /// under the same batched engine; unused by the learned variants). Owns
-    /// its own backbone scratch, so the training-free paths never alias the
-    /// buffers above.
-    pub tf: TfScratch,
-    /// Patch-token rows (class token excluded) `[N-1, D]`.
-    pub(crate) patches: Tensor,
-    /// The class-token row `[1, D]`.
-    pub(crate) cls: Tensor,
-    /// Gathered informative rows `[K, D]`.
-    pub(crate) kept_rows: Tensor,
-    /// Gathered pruned rows `[N-1-K, D]` (package input).
-    pub(crate) pruned_rows: Tensor,
-    /// The repacked token matrix handed to the next block.
-    pub(crate) repacked: Tensor,
-    /// Indices of kept patch tokens (also reused as a sort buffer).
-    pub(crate) kept: Vec<usize>,
-    /// Indices of pruned patch tokens / ranking order buffer.
-    pub(crate) pruned: Vec<usize>,
-    /// Keep scores of the pruned tokens (packager weights).
-    pub(crate) pruned_scores: Vec<f32>,
-    /// Original patch-grid index of each current row (`None` = class or
-    /// package token).
-    pub(crate) origin: Vec<Option<usize>>,
-    /// Staging buffer for the post-repack `origin` mapping.
-    pub(crate) new_origin: Vec<Option<usize>>,
 }
 
 // Each engine worker thread owns one scratch; a future non-`Send` field must

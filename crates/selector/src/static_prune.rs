@@ -8,13 +8,13 @@
 //! * [`StaticRule::TokenNorm`] — keep the top-k tokens by embedding norm;
 //! * [`StaticRule::Random`] — random keep (lower bound).
 //!
-//! These baselines share the backbone and the dense-repacking flow with the
-//! adaptive model, so Fig. 2/Fig. 4 comparisons isolate exactly the decision
-//! policy.
+//! These baselines run the adaptive model's [`TokenPolicy`] loop, so Fig.
+//! 2/Fig. 4 comparisons isolate exactly the decision policy.
 
-use crate::scratch::PruneScratch;
 use heatvit_tensor::Tensor;
-use heatvit_vit::VisionTransformer;
+use heatvit_vit::{
+    select_top, RatioStage, StageInput, StageScratch, TokenPolicy, VisionTransformer,
+};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -32,13 +32,7 @@ pub enum StaticRule {
 
 /// One static pruning stage: in front of `block`, keep `ceil(ratio · N)`
 /// tokens of the `N` current patch tokens.
-#[derive(Debug, Clone, Copy)]
-pub struct StaticStage {
-    /// Block index the stage precedes.
-    pub block: usize,
-    /// Fraction of current patch tokens to keep, in `(0, 1]`.
-    pub keep_ratio: f32,
-}
+pub type StaticStage = RatioStage;
 
 /// A backbone with static (input-agnostic) token pruning.
 ///
@@ -52,23 +46,6 @@ pub struct StaticPrunedViT {
     seed: u64,
 }
 
-/// Inference result of a statically pruned ViT.
-#[derive(Debug, Clone)]
-pub struct StaticInference {
-    /// Classification logits `[1, classes]`.
-    pub logits: Tensor,
-    /// Token count entering each block.
-    pub tokens_per_block: Vec<usize>,
-}
-
-// Serving worker pools own models and move them across threads; a future
-// non-`Send`/`Sync` field must fail to build here rather than at the spawn
-// site.
-const _: fn() = || {
-    fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<StaticPrunedViT>();
-};
-
 impl StaticPrunedViT {
     /// Canonical variant label this backend registers in engine and serving
     /// report tables.
@@ -78,25 +55,15 @@ impl StaticPrunedViT {
     ///
     /// # Panics
     ///
-    /// Panics if any stage is out of range, out of order, or has an invalid
-    /// ratio.
+    /// Panics if any stage is out of range, not strictly after the one
+    /// before it, or has an invalid ratio.
     pub fn new(
         backbone: VisionTransformer,
         stages: Vec<StaticStage>,
         rule: StaticRule,
         seed: u64,
     ) -> Self {
-        let depth = backbone.config().depth;
-        let mut last = 0;
-        for s in &stages {
-            assert!(s.block < depth, "stage block out of range");
-            assert!(s.block >= last, "stages must be in block order");
-            assert!(
-                s.keep_ratio > 0.0 && s.keep_ratio <= 1.0,
-                "keep ratio must be in (0, 1]"
-            );
-            last = s.block;
-        }
+        RatioStage::validate(&stages, backbone.config().depth);
         Self {
             backbone,
             stages,
@@ -105,161 +72,67 @@ impl StaticPrunedViT {
         }
     }
 
-    /// The wrapped backbone.
-    pub fn backbone(&self) -> &VisionTransformer {
+    fn stage(&self, block: usize) -> Option<&StaticStage> {
+        self.stages.iter().find(|s| s.block == block)
+    }
+}
+
+impl TokenPolicy for StaticPrunedViT {
+    fn backbone(&self) -> &VisionTransformer {
         &self.backbone
     }
 
-    /// The installed pruning stages, in block order.
-    pub fn stages(&self) -> &[StaticStage] {
-        &self.stages
+    fn has_stage(&self, block: usize) -> bool {
+        self.stage(block).is_some()
     }
 
-    /// The token count entering each block, computed without running
-    /// inference. Static pruning is input-agnostic, so this is *exact*:
-    /// every image sees these counts (mirrors the clamp-and-ceil keep
-    /// arithmetic of [`StaticPrunedViT::infer_with`] stage by stage).
-    pub fn planned_tokens_per_block(&self) -> Vec<usize> {
-        let depth = self.backbone.config().depth;
-        let mut n_patches = self.backbone.config().num_patches();
-        let mut out = Vec::with_capacity(depth);
-        let mut stage_iter = self.stages.iter().peekable();
-        for bi in 0..depth {
-            if let Some(stage) = stage_iter.peek() {
-                if stage.block == bi {
-                    n_patches =
-                        ((stage.keep_ratio * n_patches as f32).ceil() as usize).clamp(1, n_patches);
-                    stage_iter.next();
+    /// Ranks the patches by the rule (higher = more informative) and keeps
+    /// the stage's fixed count.
+    fn select(&self, stage: &StageInput<'_>, ws: &mut StageScratch) {
+        let patches = stage.patches;
+        let n = patches.dim(0);
+        ws.scores.clear();
+        match (self.rule, stage.maps) {
+            // Class-token attention to each patch, averaged over heads.
+            (StaticRule::CliffAttention, Some(maps)) => ws.scores.extend(
+                (1..=n)
+                    .map(|j| maps.iter().map(|m| m.at(&[0, j])).sum::<f32>() / maps.len() as f32),
+            ),
+            // One seeded stream per image: replay the earlier stages'
+            // shuffles (their sizes are fixed by the schedule), then rank
+            // by position in this stage's shuffle.
+            (StaticRule::Random, _) => {
+                let mut rng = StdRng::seed_from_u64(self.seed);
+                let mut entering = self.backbone.config().num_patches();
+                for s in self.stages.iter().take_while(|s| s.block < stage.index) {
+                    shuffled(entering, &mut rng, &mut ws.order);
+                    entering = s.keep(entering);
+                }
+                shuffled(n, &mut rng, &mut ws.order);
+                ws.scores.resize(n, 0.0);
+                for (rank, &i) in ws.order.iter().enumerate() {
+                    ws.scores[i] = rank as f32;
                 }
             }
-            out.push(n_patches + 1); // + class token
+            // Token norms; also the attention rule's fallback in front of
+            // block 0, where no attention exists yet.
+            _ => ws.scores.extend((0..n).map(|r| row_norm(patches, r))),
         }
-        out
+        let keep = self.stage(stage.index).expect("stage exists").keep(n);
+        select_top(keep, &ws.scores, &mut ws.order, &mut ws.kept);
     }
 
-    /// Ranks current patch tokens; higher score = more informative.
-    fn scores(&self, tokens: &Tensor, cls_attention: Option<&[f32]>, rng: &mut StdRng) -> Vec<f32> {
-        let n = tokens.dim(0);
-        match self.rule {
-            StaticRule::CliffAttention => match cls_attention {
-                Some(a) => a.to_vec(),
-                // First block has no incoming attention; fall back to norms.
-                None => (0..n).map(|r| row_norm(tokens, r)).collect(),
-            },
-            StaticRule::TokenNorm => (0..n).map(|r| row_norm(tokens, r)).collect(),
-            StaticRule::Random => {
-                let mut order: Vec<usize> = (0..n).collect();
-                order.shuffle(rng);
-                let mut s = vec![0.0f32; n];
-                for (rank, &i) in order.iter().enumerate() {
-                    s[i] = rank as f32;
-                }
-                s
-            }
-        }
+    /// Exact: the keep count depends on the schedule, never on the image.
+    fn stage_tokens(&self, block: usize, tokens: usize) -> usize {
+        self.stage(block).expect("stage exists").keep(tokens - 1) + 1
     }
+}
 
-    /// Inference with static pruning and dense repacking.
-    pub fn infer(&self, image: &Tensor) -> StaticInference {
-        self.infer_with(image, &mut PruneScratch::default())
-    }
-
-    /// [`StaticPrunedViT::infer`] reusing a caller-provided scratch
-    /// workspace (bit-identical results; see
-    /// [`PruneScratch`](crate::PruneScratch)).
-    pub fn infer_with(&self, image: &Tensor, scratch: &mut PruneScratch) -> StaticInference {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut tokens = self.backbone.patch_embed().infer(image);
-        let mut tokens_per_block = Vec::with_capacity(self.backbone.config().depth);
-        // Mean CLS attention over heads from the previous block, per current
-        // patch token.
-        let mut cls_attention: Option<Vec<f32>> = None;
-        let mut stage_iter = self.stages.iter().peekable();
-        for (bi, block) in self.backbone.blocks().iter().enumerate() {
-            if let Some(stage) = stage_iter.peek() {
-                if stage.block == bi {
-                    let n_patches = tokens.dim(0) - 1;
-                    let k =
-                        ((stage.keep_ratio * n_patches as f32).ceil() as usize).clamp(1, n_patches);
-                    tokens.slice_rows_into(1, tokens.dim(0), &mut scratch.patches);
-                    let scores = self.scores(&scratch.patches, cls_attention.as_deref(), &mut rng);
-                    // `pruned` doubles as the ranking-order buffer; `kept`
-                    // receives the top-k, restored to block order.
-                    scratch.pruned.clear();
-                    scratch.pruned.extend(0..n_patches);
-                    scratch
-                        .pruned
-                        .sort_by(|&a, &b| scores[b].total_cmp(&scores[a]));
-                    scratch.kept.clear();
-                    scratch.kept.extend_from_slice(&scratch.pruned[..k]);
-                    scratch.kept.sort_unstable();
-                    tokens.slice_rows_into(0, 1, &mut scratch.cls);
-                    scratch
-                        .patches
-                        .gather_rows_into(&scratch.kept, &mut scratch.kept_rows);
-                    Tensor::concat_rows_into(
-                        &[&scratch.cls, &scratch.kept_rows],
-                        &mut scratch.repacked,
-                    );
-                    std::mem::swap(&mut tokens, &mut scratch.repacked);
-                    stage_iter.next();
-                }
-            }
-            tokens_per_block.push(tokens.dim(0));
-            let (out, maps) = block.infer_with(&tokens, None, &mut scratch.vit);
-            // CLS attention to each patch token, averaged over heads.
-            let n = tokens.dim(0);
-            let mut attn = vec![0.0f32; n - 1];
-            for map in &maps {
-                for (j, a) in attn.iter_mut().enumerate() {
-                    *a += map.at(&[0, j + 1]);
-                }
-            }
-            for a in &mut attn {
-                *a /= maps.len() as f32;
-            }
-            cls_attention = Some(attn);
-            tokens = out;
-        }
-        StaticInference {
-            logits: self.backbone.classify_tokens_infer(&tokens),
-            tokens_per_block,
-        }
-    }
-
-    /// Runs a batch of images through one shared scratch workspace.
-    /// Equivalent to mapping [`StaticPrunedViT::infer`] over `images`.
-    pub fn infer_batch(&self, images: &[Tensor]) -> Vec<StaticInference> {
-        let mut scratch = PruneScratch::default();
-        images
-            .iter()
-            .map(|image| self.infer_with(image, &mut scratch))
-            .collect()
-    }
-
-    /// Predicted class for one image.
-    pub fn predict(&self, image: &Tensor) -> usize {
-        self.infer(image).logits.argmax_rows()[0]
-    }
-
-    /// Multiply–accumulate count of one inference using the actual
-    /// per-block token counts from `inference` (the static analogue of
-    /// [`crate::PrunedViT::macs`]; ranking overhead is not charged since the
-    /// rules reuse attention maps or norms the blocks already produce).
-    pub fn macs(&self, inference: &StaticInference) -> u64 {
-        self.macs_for_tokens(&inference.tokens_per_block)
-    }
-
-    /// [`StaticPrunedViT::macs`] at an arbitrary per-block token schedule
-    /// (the cost-prediction entry point, typically over
-    /// [`StaticPrunedViT::planned_tokens_per_block`]).
-    pub fn macs_for_tokens(&self, tokens_per_block: &[usize]) -> u64 {
-        let mut total = self.backbone.patch_embed().macs();
-        for (i, block) in self.backbone.blocks().iter().enumerate() {
-            total += block.macs(tokens_per_block[i]);
-        }
-        total + self.backbone.config().embed_dim as u64 * self.backbone.config().num_classes as u64
-    }
+/// `0..n` in `rng`'s shuffled order, written to `out`.
+fn shuffled(n: usize, rng: &mut StdRng, out: &mut Vec<usize>) {
+    out.clear();
+    out.extend(0..n);
+    out.shuffle(rng);
 }
 
 fn row_norm(t: &Tensor, r: usize) -> f32 {
@@ -354,43 +227,16 @@ mod tests {
     }
 
     #[test]
-    fn planned_tokens_match_inference_exactly() {
-        // The whole point of the static baseline as a serving backend: its
-        // cost is known before any image arrives.
-        let (b, mut rng) = backbone(5);
-        let model = StaticPrunedViT::new(
-            b,
-            vec![
-                StaticStage {
-                    block: 1,
-                    keep_ratio: 0.7,
-                },
-                StaticStage {
-                    block: 3,
-                    keep_ratio: 0.5,
-                },
-            ],
-            StaticRule::CliffAttention,
-            0,
-        );
-        let planned = model.planned_tokens_per_block();
-        for _ in 0..3 {
-            let image = Tensor::rand_uniform(&[3, 32, 32], 0.0, 1.0, &mut rng);
-            let out = model.infer(&image);
-            assert_eq!(out.tokens_per_block, planned);
-            assert_eq!(model.macs_for_tokens(&planned), model.macs(&out));
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "block order")]
     fn stages_must_be_ordered() {
+        // One stage per block: the loop runs a repeated block's stage once,
+        // so its second listing would be a stage that never runs.
         let (b, _) = backbone(4);
         StaticPrunedViT::new(
             b,
             vec![
                 StaticStage {
-                    block: 4,
+                    block: 2,
                     keep_ratio: 0.5,
                 },
                 StaticStage {

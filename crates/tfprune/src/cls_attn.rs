@@ -1,10 +1,7 @@
 //! Hard-drop CLS-attention pruning (the Adaptive Sparse ViT recipe).
 
-use crate::scoring;
-use crate::scratch::TfScratch;
-use crate::{keep_count, planned_tokens, validate_stages, TfInference, TfStage};
-use heatvit_tensor::Tensor;
-use heatvit_vit::VisionTransformer;
+use crate::{scoring, TfStage};
+use heatvit_vit::{RatioStage, StageInput, StageScratch, TokenPolicy, VisionTransformer};
 
 /// A backbone with training-free CLS-attention token pruning: in front of
 /// each configured stage, the class token's attention distribution (from
@@ -23,14 +20,6 @@ pub struct ClsAttnPrunedViT {
     stages: Vec<TfStage>,
 }
 
-// Serving worker pools own models and move them across threads; a future
-// non-`Send`/`Sync` field must fail to build here rather than at the spawn
-// site.
-const _: fn() = || {
-    fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<ClsAttnPrunedViT>();
-};
-
 impl ClsAttnPrunedViT {
     /// Canonical variant label this backend registers in engine and serving
     /// report tables.
@@ -40,104 +29,50 @@ impl ClsAttnPrunedViT {
     ///
     /// # Panics
     ///
-    /// Panics if any stage is out of range, out of block order, or has a
-    /// ratio outside `(0, 1]`.
+    /// Panics if any stage is out of range, not strictly after the one
+    /// before it, or has a ratio outside `(0, 1]`.
     pub fn new(backbone: VisionTransformer, stages: Vec<TfStage>) -> Self {
-        validate_stages(&stages, backbone.config().depth);
+        RatioStage::validate(&stages, backbone.config().depth);
         Self { backbone, stages }
     }
 
-    /// The wrapped backbone.
-    pub fn backbone(&self) -> &VisionTransformer {
+    fn stage(&self, block: usize) -> Option<&TfStage> {
+        self.stages.iter().find(|s| s.block == block)
+    }
+}
+
+impl TokenPolicy for ClsAttnPrunedViT {
+    fn backbone(&self) -> &VisionTransformer {
         &self.backbone
     }
 
-    /// The installed pruning stages, in block order.
-    pub fn stages(&self) -> &[TfStage] {
-        &self.stages
+    fn has_stage(&self, block: usize) -> bool {
+        self.stage(block).is_some()
     }
 
-    /// The token count entering each block, computed without running
-    /// inference — *exact*: the keep arithmetic is input-agnostic, so every
-    /// image sees these counts.
-    pub fn planned_tokens_per_block(&self) -> Vec<usize> {
-        planned_tokens(
-            &self.stages,
-            self.backbone.config().depth,
-            self.backbone.config().num_patches(),
-        )
+    fn select(&self, stage: &StageInput<'_>, ws: &mut StageScratch) {
+        let keep = self
+            .stage(stage.index)
+            .expect("stage exists")
+            .keep(stage.patches.dim(0));
+        scoring::select(stage, keep, false, ws);
     }
 
-    /// Inference with CLS-attention pruning and dense repacking.
-    pub fn infer(&self, image: &Tensor) -> TfInference {
-        self.infer_with(image, &mut TfScratch::default())
+    /// Exact: the keep arithmetic is input-agnostic.
+    fn stage_tokens(&self, block: usize, tokens: usize) -> usize {
+        self.stage(block).expect("stage exists").keep(tokens - 1) + 1
     }
 
-    /// [`ClsAttnPrunedViT::infer`] reusing a caller-provided scratch
-    /// workspace (bit-identical results).
-    pub fn infer_with(&self, image: &Tensor, scratch: &mut TfScratch) -> TfInference {
-        let mut tokens = self.backbone.patch_embed().infer(image);
-        let depth = self.backbone.config().depth;
-        let mut tokens_per_block = Vec::with_capacity(depth);
-        let mut stage_iter = self.stages.iter().peekable();
-        for (bi, block) in self.backbone.blocks().iter().enumerate() {
-            if let Some(stage) = stage_iter.peek() {
-                if stage.block == bi {
-                    let k = keep_count(stage.keep_ratio, tokens.dim(0) - 1);
-                    scoring::cls_attention_scores(block, &tokens, scratch);
-                    scoring::select_top_patches(k, scratch);
-                    scoring::repack_hard(&mut tokens, scratch);
-                    stage_iter.next();
-                }
-            }
-            tokens_per_block.push(tokens.dim(0));
-            let (out, _) = block.infer_with(&tokens, None, &mut scratch.vit);
-            tokens = out;
-        }
-        TfInference {
-            logits: self.backbone.classify_tokens_infer(&tokens),
-            tokens_per_block,
-        }
-    }
-
-    /// Predicted class for one image.
-    pub fn predict(&self, image: &Tensor) -> usize {
-        self.infer(image).logits.argmax_rows()[0]
-    }
-
-    /// Multiply–accumulate count of one inference, including the scoring
-    /// overhead the stages spend before each governed block.
-    pub fn macs(&self, inference: &TfInference) -> u64 {
-        self.macs_for_tokens(&inference.tokens_per_block)
-    }
-
-    /// [`ClsAttnPrunedViT::macs`] at an arbitrary per-block token schedule
-    /// (the cost-prediction entry point, typically over
-    /// [`ClsAttnPrunedViT::planned_tokens_per_block`]). Scoring runs on the
-    /// *pre-prune* token count of each stage, and that overhead is charged
-    /// honestly on top of the backbone's own work.
-    pub fn macs_for_tokens(&self, tokens_per_block: &[usize]) -> u64 {
-        let cfg = self.backbone.config();
-        let mut total = self.backbone.patch_embed().macs();
-        for (i, block) in self.backbone.blocks().iter().enumerate() {
-            total += block.macs(tokens_per_block[i]);
-        }
-        total += cfg.embed_dim as u64 * cfg.num_classes as u64;
-        for stage in &self.stages {
-            let pre = if stage.block == 0 {
-                cfg.num_tokens()
-            } else {
-                tokens_per_block[stage.block - 1]
-            };
-            total += scoring::scoring_macs(&self.backbone.blocks()[stage.block], pre, false);
-        }
-        total
+    /// The scoring pass, run on the tokens entering the stage.
+    fn stage_macs(&self, block: usize, tokens_in: usize, _tokens_out: usize) -> u64 {
+        scoring::scoring_macs(&self.backbone.blocks()[block], tokens_in, false)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use heatvit_tensor::Tensor;
     use heatvit_vit::ViTConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -188,32 +123,6 @@ mod tests {
     }
 
     #[test]
-    fn planned_tokens_match_inference_exactly() {
-        let (b, mut rng) = backbone(2);
-        let model = ClsAttnPrunedViT::new(b, stages());
-        let planned = model.planned_tokens_per_block();
-        for _ in 0..3 {
-            let image = Tensor::rand_uniform(&[3, 32, 32], 0.0, 1.0, &mut rng);
-            let out = model.infer(&image);
-            assert_eq!(out.tokens_per_block, planned);
-            assert_eq!(model.macs_for_tokens(&planned), model.macs(&out));
-        }
-    }
-
-    #[test]
-    fn scratch_and_fresh_paths_are_bit_identical() {
-        let (b, mut rng) = backbone(3);
-        let model = ClsAttnPrunedViT::new(b, stages());
-        let image = Tensor::rand_uniform(&[3, 32, 32], 0.0, 1.0, &mut rng);
-        let fresh = model.infer(&image);
-        let mut scratch = TfScratch::default();
-        // A warm scratch (second use) must not change a single bit.
-        model.infer_with(&image, &mut scratch);
-        let warm = model.infer_with(&image, &mut scratch);
-        assert_eq!(fresh.logits.data(), warm.logits.data());
-    }
-
-    #[test]
     fn scoring_overhead_is_charged() {
         let (b, _) = backbone(4);
         let dense_macs = b.macs();
@@ -232,12 +141,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "block order")]
     fn stages_must_be_ordered() {
+        // One stage per block: a repeated block would run once yet be
+        // listed, and so charged, twice.
         let (b, _) = backbone(5);
         ClsAttnPrunedViT::new(
             b,
             vec![
                 TfStage {
-                    block: 4,
+                    block: 2,
                     keep_ratio: 0.5,
                 },
                 TfStage {

@@ -29,85 +29,23 @@
 //! Every model is input-agnostic in its *token counts* (which tokens
 //! survive varies per image, how many never does), so cost profiles are
 //! exact: the planned per-block schedule is the schedule every image
-//! executes, and a latency model over it predicts real work.
+//! executes, and a latency model over it predicts real work. Each is a
+//! [`heatvit_vit::TokenPolicy`], so all three run the backbone's one
+//! pruning loop and workspace.
 
 #![warn(missing_docs)]
 
 mod cls_attn;
 mod merge;
 mod scoring;
-mod scratch;
 mod topk;
 
 pub use cls_attn::ClsAttnPrunedViT;
 pub use merge::TokenMergeViT;
-pub use scratch::TfScratch;
 pub use topk::{TopKPrunedViT, TopKStage};
-
-use heatvit_tensor::Tensor;
 
 /// One training-free ratio stage: in front of `block`, keep
 /// `ceil(keep_ratio · N)` of the `N` current patch tokens (the class token
-/// is never counted and never pruned).
-#[derive(Debug, Clone, Copy)]
-pub struct TfStage {
-    /// Block index the stage precedes (scores come from this block's own
-    /// `W_q`/`W_k`, so a stage in front of block 0 is well-defined).
-    pub block: usize,
-    /// Fraction of current patch tokens to keep, in `(0, 1]`.
-    pub keep_ratio: f32,
-}
-
-/// Inference result of a training-free pruned ViT.
-#[derive(Debug, Clone)]
-pub struct TfInference {
-    /// Classification logits `[1, classes]`.
-    pub logits: Tensor,
-    /// Token count entering each block (class token included).
-    pub tokens_per_block: Vec<usize>,
-}
-
-/// Validates a ratio-stage schedule against a backbone depth.
-///
-/// # Panics
-///
-/// Panics with the same messages as the other pruned model types if a
-/// stage is out of range, out of block order, or has a ratio outside
-/// `(0, 1]`.
-pub(crate) fn validate_stages(stages: &[TfStage], depth: usize) {
-    let mut last = 0;
-    for s in stages {
-        assert!(s.block < depth, "stage block out of range");
-        assert!(s.block >= last, "stages must be in block order");
-        assert!(
-            s.keep_ratio > 0.0 && s.keep_ratio <= 1.0,
-            "keep ratio must be in (0, 1]"
-        );
-        last = s.block;
-    }
-}
-
-/// The ceil-and-clamp keep arithmetic every ratio stage uses: at least one
-/// patch token always survives.
-pub(crate) fn keep_count(keep_ratio: f32, n_patches: usize) -> usize {
-    ((keep_ratio * n_patches as f32).ceil() as usize).clamp(1, n_patches)
-}
-
-/// The planned per-block token counts of a ratio-stage schedule — exact,
-/// since the keep arithmetic depends only on the schedule, never on the
-/// image.
-pub(crate) fn planned_tokens(stages: &[TfStage], depth: usize, n_patches: usize) -> Vec<usize> {
-    let mut n = n_patches;
-    let mut out = Vec::with_capacity(depth);
-    let mut iter = stages.iter().peekable();
-    for bi in 0..depth {
-        if let Some(stage) = iter.peek() {
-            if stage.block == bi {
-                n = keep_count(stage.keep_ratio, n);
-                iter.next();
-            }
-        }
-        out.push(n + 1); // + class token
-    }
-    out
-}
+/// is never counted and never pruned). Scores come from the block's own
+/// `W_q`/`W_k`, so a stage in front of block 0 is well-defined.
+pub type TfStage = heatvit_vit::RatioStage;

@@ -1,17 +1,15 @@
 //! Token mergence: prune by folding, not dropping (Multi-Scale Token
 //! Mergence).
 
-use crate::scoring;
-use crate::scratch::TfScratch;
-use crate::{keep_count, planned_tokens, validate_stages, TfInference, TfStage};
+use crate::{scoring, ClsAttnPrunedViT, TfStage};
 use heatvit_tensor::Tensor;
-use heatvit_vit::VisionTransformer;
+use heatvit_vit::{StageInput, StageScratch, TokenPolicy, VisionTransformer};
 
 /// A backbone with training-free token *mergence*: stages and CLS-attention
-/// ranking identical to [`crate::ClsAttnPrunedViT`], but instead of
-/// discarding the low-scored tokens, each one is folded into its most
-/// cosine-similar kept token by a score-weighted average (the class token
-/// is always kept and never merged into).
+/// ranking identical to [`ClsAttnPrunedViT`], but instead of discarding the
+/// low-scored tokens, each one is folded into its most cosine-similar kept
+/// token by a score-weighted average (the class token is always kept and
+/// never merged into).
 ///
 /// Downstream blocks see exactly the hard drop's token counts — the same
 /// MAC budget — but the kept rows still carry a weighted trace of what was
@@ -21,17 +19,9 @@ use heatvit_vit::VisionTransformer;
 /// matching the other backend types.
 #[derive(Debug, Clone)]
 pub struct TokenMergeViT {
-    backbone: VisionTransformer,
-    stages: Vec<TfStage>,
+    /// The hard drop whose ranking and schedule mergence shares.
+    drop: ClsAttnPrunedViT,
 }
-
-// Serving worker pools own models and move them across threads; a future
-// non-`Send`/`Sync` field must fail to build here rather than at the spawn
-// site.
-const _: fn() = || {
-    fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<TokenMergeViT>();
-};
 
 impl TokenMergeViT {
     /// Canonical variant label this backend registers in engine and serving
@@ -42,109 +32,58 @@ impl TokenMergeViT {
     ///
     /// # Panics
     ///
-    /// Panics if any stage is out of range, out of block order, or has a
-    /// ratio outside `(0, 1]`.
+    /// Panics as [`ClsAttnPrunedViT::new`] does.
     pub fn new(backbone: VisionTransformer, stages: Vec<TfStage>) -> Self {
-        validate_stages(&stages, backbone.config().depth);
-        Self { backbone, stages }
-    }
-
-    /// The wrapped backbone.
-    pub fn backbone(&self) -> &VisionTransformer {
-        &self.backbone
-    }
-
-    /// The installed mergence stages, in block order.
-    pub fn stages(&self) -> &[TfStage] {
-        &self.stages
-    }
-
-    /// The token count entering each block, computed without running
-    /// inference — *exact*, and identical to the hard drop's schedule at
-    /// equal stages: mergence changes token *content*, never token counts.
-    pub fn planned_tokens_per_block(&self) -> Vec<usize> {
-        planned_tokens(
-            &self.stages,
-            self.backbone.config().depth,
-            self.backbone.config().num_patches(),
-        )
-    }
-
-    /// Inference with CLS-attention-ranked token mergence.
-    pub fn infer(&self, image: &Tensor) -> TfInference {
-        self.infer_with(image, &mut TfScratch::default())
-    }
-
-    /// [`TokenMergeViT::infer`] reusing a caller-provided scratch workspace
-    /// (bit-identical results).
-    pub fn infer_with(&self, image: &Tensor, scratch: &mut TfScratch) -> TfInference {
-        let mut tokens = self.backbone.patch_embed().infer(image);
-        let depth = self.backbone.config().depth;
-        let mut tokens_per_block = Vec::with_capacity(depth);
-        let mut stage_iter = self.stages.iter().peekable();
-        for (bi, block) in self.backbone.blocks().iter().enumerate() {
-            if let Some(stage) = stage_iter.peek() {
-                if stage.block == bi {
-                    let k = keep_count(stage.keep_ratio, tokens.dim(0) - 1);
-                    scoring::cls_attention_scores(block, &tokens, scratch);
-                    scoring::select_top_patches(k, scratch);
-                    scoring::repack_merge(&mut tokens, scratch);
-                    stage_iter.next();
-                }
-            }
-            tokens_per_block.push(tokens.dim(0));
-            let (out, _) = block.infer_with(&tokens, None, &mut scratch.vit);
-            tokens = out;
-        }
-        TfInference {
-            logits: self.backbone.classify_tokens_infer(&tokens),
-            tokens_per_block,
+        Self {
+            drop: ClsAttnPrunedViT::new(backbone, stages),
         }
     }
+}
 
-    /// Predicted class for one image.
-    pub fn predict(&self, image: &Tensor) -> usize {
-        self.infer(image).logits.argmax_rows()[0]
+impl TokenPolicy for TokenMergeViT {
+    fn backbone(&self) -> &VisionTransformer {
+        self.drop.backbone()
     }
 
-    /// Multiply–accumulate count of one inference, including scoring and
-    /// merge overhead.
-    pub fn macs(&self, inference: &TfInference) -> u64 {
-        self.macs_for_tokens(&inference.tokens_per_block)
+    fn has_stage(&self, block: usize) -> bool {
+        self.drop.has_stage(block)
     }
 
-    /// [`TokenMergeViT::macs`] at an arbitrary per-block token schedule.
-    /// On top of the hard drop's accounting this charges the
-    /// pruned-to-kept cosine-similarity products (`pruned · kept · D` per
-    /// stage); the remaining merge arithmetic is `O((pruned + kept) · D)`
-    /// element-wise work, in the same class as the residual adds the MAC
-    /// model already leaves to the vector units.
-    pub fn macs_for_tokens(&self, tokens_per_block: &[usize]) -> u64 {
-        let cfg = self.backbone.config();
-        let mut total = self.backbone.patch_embed().macs();
-        for (i, block) in self.backbone.blocks().iter().enumerate() {
-            total += block.macs(tokens_per_block[i]);
-        }
-        total += cfg.embed_dim as u64 * cfg.num_classes as u64;
-        for stage in &self.stages {
-            let pre = if stage.block == 0 {
-                cfg.num_tokens()
-            } else {
-                tokens_per_block[stage.block - 1]
-            };
-            total += scoring::scoring_macs(&self.backbone.blocks()[stage.block], pre, false);
-            let kept = tokens_per_block[stage.block] - 1;
-            let pruned = (pre - 1) - kept;
-            total += (pruned * kept * cfg.embed_dim) as u64;
-        }
-        total
+    fn select(&self, stage: &StageInput<'_>, ws: &mut StageScratch) {
+        self.drop.select(stage, ws);
+    }
+
+    fn consolidate(
+        &self,
+        patches: &Tensor,
+        kept_rows: &mut Tensor,
+        ws: &mut StageScratch,
+    ) -> Option<Tensor> {
+        scoring::fold_into_nearest(patches, kept_rows, ws);
+        None
+    }
+
+    /// The hard drop's: mergence changes token *content*, never token
+    /// counts.
+    fn stage_tokens(&self, block: usize, tokens: usize) -> usize {
+        self.drop.stage_tokens(block, tokens)
+    }
+
+    /// The hard drop's scoring pass plus the pruned-to-kept
+    /// cosine-similarity products (`pruned · kept · D`); the remaining merge
+    /// arithmetic is `O((pruned + kept) · D)` element-wise work, in the same
+    /// class as the residual adds the MAC model already leaves to the vector
+    /// units.
+    fn stage_macs(&self, block: usize, tokens_in: usize, tokens_out: usize) -> u64 {
+        let (kept, pruned) = (tokens_out - 1, tokens_in - tokens_out);
+        let dim = self.backbone().config().embed_dim;
+        self.drop.stage_macs(block, tokens_in, tokens_out) + (pruned * kept * dim) as u64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ClsAttnPrunedViT;
     use heatvit_vit::ViTConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -213,17 +152,6 @@ mod tests {
         );
         let image = Tensor::rand_uniform(&[3, 32, 32], 0.0, 1.0, &mut rng);
         assert_eq!(merge.infer(&image).logits.data(), b.infer(&image).data());
-    }
-
-    #[test]
-    fn planned_tokens_and_macs_are_consistent() {
-        let (b, mut rng) = backbone(3);
-        let model = TokenMergeViT::new(b, stages());
-        let planned = model.planned_tokens_per_block();
-        let image = Tensor::rand_uniform(&[3, 32, 32], 0.0, 1.0, &mut rng);
-        let out = model.infer(&image);
-        assert_eq!(out.tokens_per_block, planned);
-        assert_eq!(model.macs(&out), model.macs_for_tokens(&planned));
     }
 
     #[test]

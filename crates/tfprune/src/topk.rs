@@ -2,10 +2,9 @@
 //! by CLS attention plus value-vector norm.
 
 use crate::scoring;
-use crate::scratch::TfScratch;
-use crate::TfInference;
-use heatvit_tensor::Tensor;
-use heatvit_vit::VisionTransformer;
+use heatvit_vit::{
+    validate_stage_blocks, StageInput, StageScratch, TokenPolicy, VisionTransformer,
+};
 
 /// One top-k stage: in front of `block`, keep the `keep` highest-scored
 /// patch tokens (the class token is never counted and never pruned).
@@ -32,14 +31,6 @@ pub struct TopKPrunedViT {
     stages: Vec<TopKStage>,
 }
 
-// Serving worker pools own models and move them across threads; a future
-// non-`Send`/`Sync` field must fail to build here rather than at the spawn
-// site.
-const _: fn() = || {
-    fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<TopKPrunedViT>();
-};
-
 impl TopKPrunedViT {
     /// Canonical variant label this backend registers in engine and serving
     /// report tables.
@@ -49,120 +40,55 @@ impl TopKPrunedViT {
     ///
     /// # Panics
     ///
-    /// Panics if any stage is out of range, out of block order, or has a
-    /// zero keep count.
+    /// Panics if any stage is out of range, not strictly after the one
+    /// before it, or has a zero keep count.
     pub fn new(backbone: VisionTransformer, stages: Vec<TopKStage>) -> Self {
-        let depth = backbone.config().depth;
-        let mut last = 0;
-        for s in &stages {
-            assert!(s.block < depth, "stage block out of range");
-            assert!(s.block >= last, "stages must be in block order");
-            assert!(s.keep > 0, "keep count must be positive");
-            last = s.block;
-        }
+        validate_stage_blocks(stages.iter().map(|s| s.block), backbone.config().depth);
+        assert!(
+            stages.iter().all(|s| s.keep > 0),
+            "keep count must be positive"
+        );
         Self { backbone, stages }
     }
 
-    /// The wrapped backbone.
-    pub fn backbone(&self) -> &VisionTransformer {
+    /// Patch tokens the stage in front of `block` keeps of `patches`.
+    fn keep(&self, block: usize, patches: usize) -> usize {
+        let stage = self.stages.iter().find(|s| s.block == block);
+        stage.expect("stage exists").keep.min(patches)
+    }
+}
+
+impl TokenPolicy for TopKPrunedViT {
+    fn backbone(&self) -> &VisionTransformer {
         &self.backbone
     }
 
-    /// The installed top-k stages, in block order.
-    pub fn stages(&self) -> &[TopKStage] {
-        &self.stages
+    fn has_stage(&self, block: usize) -> bool {
+        self.stages.iter().any(|s| s.block == block)
     }
 
-    /// The token count entering each block, computed without running
-    /// inference — *exact*: the keep counts are literal.
-    pub fn planned_tokens_per_block(&self) -> Vec<usize> {
-        let depth = self.backbone.config().depth;
-        let mut n = self.backbone.config().num_patches();
-        let mut out = Vec::with_capacity(depth);
-        let mut iter = self.stages.iter().peekable();
-        for bi in 0..depth {
-            if let Some(stage) = iter.peek() {
-                if stage.block == bi {
-                    n = stage.keep.min(n);
-                    iter.next();
-                }
-            }
-            out.push(n + 1); // + class token
-        }
-        out
+    fn select(&self, stage: &StageInput<'_>, ws: &mut StageScratch) {
+        let keep = self.keep(stage.index, stage.patches.dim(0));
+        scoring::select(stage, keep, true, ws);
     }
 
-    /// Inference with fixed-layer top-k pruning.
-    pub fn infer(&self, image: &Tensor) -> TfInference {
-        self.infer_with(image, &mut TfScratch::default())
+    /// Exact: the keep counts are literal.
+    fn stage_tokens(&self, block: usize, tokens: usize) -> usize {
+        self.keep(block, tokens - 1) + 1
     }
 
-    /// [`TopKPrunedViT::infer`] reusing a caller-provided scratch workspace
-    /// (bit-identical results).
-    pub fn infer_with(&self, image: &Tensor, scratch: &mut TfScratch) -> TfInference {
-        let mut tokens = self.backbone.patch_embed().infer(image);
-        let depth = self.backbone.config().depth;
-        let mut tokens_per_block = Vec::with_capacity(depth);
-        let mut stage_iter = self.stages.iter().peekable();
-        for (bi, block) in self.backbone.blocks().iter().enumerate() {
-            if let Some(stage) = stage_iter.peek() {
-                if stage.block == bi {
-                    let k = stage.keep.min(tokens.dim(0) - 1);
-                    scoring::cls_attention_scores(block, &tokens, scratch);
-                    scoring::add_value_norm_scores(block, scratch);
-                    scoring::select_top_patches(k, scratch);
-                    scoring::repack_hard(&mut tokens, scratch);
-                    stage_iter.next();
-                }
-            }
-            tokens_per_block.push(tokens.dim(0));
-            let (out, _) = block.infer_with(&tokens, None, &mut scratch.vit);
-            tokens = out;
-        }
-        TfInference {
-            logits: self.backbone.classify_tokens_infer(&tokens),
-            tokens_per_block,
-        }
-    }
-
-    /// Predicted class for one image.
-    pub fn predict(&self, image: &Tensor) -> usize {
-        self.infer(image).logits.argmax_rows()[0]
-    }
-
-    /// Multiply–accumulate count of one inference, including the scoring
-    /// overhead (query row, key *and* value projections, dots and norms)
-    /// the stages spend before each governed block.
-    pub fn macs(&self, inference: &TfInference) -> u64 {
-        self.macs_for_tokens(&inference.tokens_per_block)
-    }
-
-    /// [`TopKPrunedViT::macs`] at an arbitrary per-block token schedule
-    /// (the cost-prediction entry point, typically over
-    /// [`TopKPrunedViT::planned_tokens_per_block`]).
-    pub fn macs_for_tokens(&self, tokens_per_block: &[usize]) -> u64 {
-        let cfg = self.backbone.config();
-        let mut total = self.backbone.patch_embed().macs();
-        for (i, block) in self.backbone.blocks().iter().enumerate() {
-            total += block.macs(tokens_per_block[i]);
-        }
-        total += cfg.embed_dim as u64 * cfg.num_classes as u64;
-        for stage in &self.stages {
-            let pre = if stage.block == 0 {
-                cfg.num_tokens()
-            } else {
-                tokens_per_block[stage.block - 1]
-            };
-            total += scoring::scoring_macs(&self.backbone.blocks()[stage.block], pre, true);
-        }
-        total
+    /// The scoring pass (query row, key *and* value projections, dots and
+    /// norms), run on the tokens entering the stage.
+    fn stage_macs(&self, block: usize, tokens_in: usize, _tokens_out: usize) -> u64 {
+        scoring::scoring_macs(&self.backbone.blocks()[block], tokens_in, true)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use heatvit_vit::ViTConfig;
+    use heatvit_tensor::Tensor;
+    use heatvit_vit::{StageScratch, ViTConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -208,19 +134,6 @@ mod tests {
     }
 
     #[test]
-    fn planned_tokens_and_macs_match_inference() {
-        let (b, mut rng) = backbone(2);
-        let model = TopKPrunedViT::new(b, stages());
-        let planned = model.planned_tokens_per_block();
-        for _ in 0..3 {
-            let image = Tensor::rand_uniform(&[3, 32, 32], 0.0, 1.0, &mut rng);
-            let out = model.infer(&image);
-            assert_eq!(out.tokens_per_block, planned);
-            assert_eq!(model.macs(&out), model.macs_for_tokens(&planned));
-        }
-    }
-
-    #[test]
     fn value_norms_change_the_ranking() {
         // The top-k criterion must actually differ from pure CLS attention
         // for at least some input, otherwise the value-norm term is dead
@@ -228,7 +141,7 @@ mod tests {
         let (b, mut rng) = backbone(3);
         let image = Tensor::rand_uniform(&[3, 32, 32], 0.0, 1.0, &mut rng);
         let tokens = b.patch_embed().infer(&image);
-        let mut s = TfScratch::default();
+        let mut s = StageScratch::default();
         crate::scoring::cls_attention_scores(&b.blocks()[0], &tokens, &mut s);
         let attn_only = s.scores.clone();
         crate::scoring::add_value_norm_scores(&b.blocks()[0], &mut s);
@@ -236,6 +149,21 @@ mod tests {
         // Both summands are probability-mass-like: each sums to ~1.
         let sum: f32 = s.scores.iter().sum();
         assert!((sum - 2.0).abs() < 1e-4, "score mass {sum}");
+    }
+
+    #[test]
+    #[should_panic(expected = "block order")]
+    fn stages_must_be_ordered() {
+        // One stage per block: a repeated block would run once yet be
+        // listed, and so charged, twice.
+        let (b, _) = backbone(5);
+        TopKPrunedViT::new(
+            b,
+            vec![
+                TopKStage { block: 2, keep: 8 },
+                TopKStage { block: 2, keep: 4 },
+            ],
+        );
     }
 
     #[test]

@@ -10,8 +10,8 @@ use heatvit_data::augment::random_augment;
 use heatvit_data::{Loader, SyntheticDataset};
 use heatvit_nn::optim::{AdamW, CosineSchedule, Optimizer};
 use heatvit_nn::{Module, Tape};
-use heatvit_selector::{PruneScratch, PrunedViT};
-use heatvit_vit::{InferScratch, VisionTransformer};
+use heatvit_selector::PrunedViT;
+use heatvit_vit::{InferScratch, TokenPolicy, VisionTransformer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -330,7 +330,7 @@ impl Trainer {
         sums: &EpochSums,
     ) -> TrainReport {
         let selectors = model.selector_blocks().len();
-        let mut scratch = PruneScratch::default();
+        let mut scratch = InferScratch::default();
         let mut correct = 0usize;
         let mut keep_sums = vec![0.0f64; selectors];
         let mut final_tokens = 0.0f64;
@@ -339,7 +339,7 @@ impl Trainer {
             if out.logits.argmax_rows()[0] == sample.label {
                 correct += 1;
             }
-            for (sum, &frac) in keep_sums.iter_mut().zip(out.selector_keep_fractions.iter()) {
+            for (sum, &frac) in keep_sums.iter_mut().zip(out.keep_fractions.iter()) {
                 *sum += f64::from(frac);
             }
             final_tokens += *out.tokens_per_block.last().unwrap_or(&0) as f64;

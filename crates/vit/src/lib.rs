@@ -5,10 +5,13 @@
 //! configurations ([`ViTConfig`] — DeiT-T/S/B, LV-ViT-S/M, the paper's
 //! width-scaled baselines, and the reduced trainable µDeiT), the model itself
 //! ([`VisionTransformer`] with both a differentiable `forward` and a
-//! tape-free `infer` path), the Table II complexity model
-//! ([`flops::ModelComplexity`]), representation analysis backing the paper's
-//! motivating observations ([`analysis`]: CKA curves and per-head receptive
-//! fields), and binary weight checkpointing ([`weights`]).
+//! tape-free `infer` path), the one token-pruning loop every pruned variant
+//! runs ([`TokenPolicy`]: a policy decides between blocks, the loop repacks
+//! the survivors densely and accounts for the cost), the Table II
+//! complexity model ([`flops::ModelComplexity`]), representation analysis
+//! backing the paper's motivating observations ([`analysis`]: CKA curves and
+//! per-head receptive fields), and binary weight checkpointing
+//! ([`weights`]).
 //!
 //! ## Example
 //!
@@ -38,6 +41,7 @@ mod config;
 pub mod flops;
 mod model;
 mod patch_embed;
+mod policy;
 mod scratch;
 pub mod weights;
 
@@ -46,4 +50,8 @@ pub use block::EncoderBlock;
 pub use config::ViTConfig;
 pub use model::{InferenceTrace, VisionTransformer};
 pub use patch_embed::{image_to_patches, image_to_patches_into, PatchEmbed};
-pub use scratch::{AttnScratch, InferScratch};
+pub use policy::{
+    nominal_tokens, select_top, validate_stage_blocks, PrunedInference, RatioStage, StageInput,
+    TokenPolicy,
+};
+pub use scratch::{AttnScratch, InferScratch, StageScratch};
