@@ -14,11 +14,11 @@
 //!   [`Server::submit`] an [`InferRequest`] into the bounded queue of its
 //!   level's home lane (backpressure, never drops) and get a [`Ticket`]
 //!   that resolves to an [`InferResponse`];
-//! * dynamic batching — each lane flushes a pending batch on whichever
-//!   trips first: **max-batch** (the batch filled), **deadline proximity**
-//!   (a member's deadline is within [`ServeConfig::deadline_slack`]), or
-//!   **queue-idle** (no arrival for [`ServeConfig::idle_flush`]); shutdown
-//!   *drains* — every accepted request is served;
+//! * dynamic batching — lanes are work-conserving: a free lane flushes what
+//!   it holds at once, a full batch as **max-batch** and a partial one as
+//!   **idle** ([`FlushReason`]); requests that arrive while a batch runs
+//!   form the next one, so batches grow with load and no timer is needed;
+//!   shutdown *drains* — every accepted request is served;
 //! * multi-lane scale-out — [`LaneAssignment`] homes each service level on
 //!   a lane (int8 and float traffic batch independently instead of
 //!   serializing on one batcher), and idle lanes *steal* surplus backlog

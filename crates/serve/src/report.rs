@@ -21,10 +21,8 @@ use std::time::{Duration, Instant};
 pub enum FlushReason {
     /// The batch reached [`crate::ServeConfig::max_batch`] requests.
     MaxBatch,
-    /// The earliest deadline in the batch came within
-    /// [`crate::ServeConfig::deadline_slack`] of now.
-    Deadline,
-    /// No new request arrived for [`crate::ServeConfig::idle_flush`].
+    /// The lane was free: a partial batch flushes at once rather than wait
+    /// for more arrivals (lanes are work-conserving).
     Idle,
     /// The server is draining at shutdown (no request is dropped).
     Shutdown,
@@ -38,9 +36,10 @@ pub enum FlushReason {
 pub struct FlushCounts {
     /// Batches flushed because they filled up.
     pub max_batch: u64,
-    /// Batches flushed by deadline proximity.
+    /// Always 0: lanes no longer flush on deadline proximity. Kept so
+    /// readers of the old count still build.
     pub deadline: u64,
-    /// Batches flushed by queue idleness.
+    /// Partial batches flushed because the lane was free.
     pub idle: u64,
     /// Batches flushed by the shutdown drain.
     pub shutdown: u64,
@@ -51,9 +50,8 @@ pub struct FlushCounts {
 impl FlushReason {
     /// Every reason, in declaration order — the index order of the
     /// `heatvit_serve_flush_total` counter family.
-    pub const ALL: [FlushReason; 5] = [
+    pub const ALL: [FlushReason; 4] = [
         FlushReason::MaxBatch,
-        FlushReason::Deadline,
         FlushReason::Idle,
         FlushReason::Shutdown,
         FlushReason::Steal,
@@ -64,7 +62,6 @@ impl FlushReason {
     pub fn label(self) -> &'static str {
         match self {
             FlushReason::MaxBatch => "max_batch",
-            FlushReason::Deadline => "deadline",
             FlushReason::Idle => "idle",
             FlushReason::Shutdown => "shutdown",
             FlushReason::Steal => "steal",
@@ -73,13 +70,7 @@ impl FlushReason {
 
     /// Position in [`FlushReason::ALL`].
     pub fn index(self) -> usize {
-        match self {
-            FlushReason::MaxBatch => 0,
-            FlushReason::Deadline => 1,
-            FlushReason::Idle => 2,
-            FlushReason::Shutdown => 3,
-            FlushReason::Steal => 4,
-        }
+        self as usize
     }
 
     /// The reason carrying `label`, if it names one (inverse of
@@ -93,7 +84,6 @@ impl FlushCounts {
     pub(crate) fn bump(&mut self, reason: FlushReason) {
         match reason {
             FlushReason::MaxBatch => self.max_batch += 1,
-            FlushReason::Deadline => self.deadline += 1,
             FlushReason::Idle => self.idle += 1,
             FlushReason::Shutdown => self.shutdown += 1,
             FlushReason::Steal => self.steal += 1,
@@ -102,7 +92,7 @@ impl FlushCounts {
 
     /// Total batches flushed.
     pub fn total(&self) -> u64 {
-        self.max_batch + self.deadline + self.idle + self.shutdown + self.steal
+        self.max_batch + self.idle + self.shutdown + self.steal
     }
 }
 
@@ -558,7 +548,7 @@ impl ServeReport {
         };
         let flushes = FlushCounts {
             max_batch: snapshot.counter(names::FLUSH, &[("reason", "max_batch")]),
-            deadline: snapshot.counter(names::FLUSH, &[("reason", "deadline")]),
+            deadline: 0,
             idle: snapshot.counter(names::FLUSH, &[("reason", "idle")]),
             shutdown: snapshot.counter(names::FLUSH, &[("reason", "shutdown")]),
             steal: snapshot.counter(names::FLUSH, &[("reason", "steal")]),
@@ -781,15 +771,19 @@ mod tests {
     fn flush_counts_bump_and_total() {
         let mut counts = FlushCounts::default();
         counts.bump(FlushReason::MaxBatch);
-        counts.bump(FlushReason::Deadline);
-        counts.bump(FlushReason::Deadline);
+        counts.bump(FlushReason::Idle);
         counts.bump(FlushReason::Idle);
         counts.bump(FlushReason::Shutdown);
         counts.bump(FlushReason::Steal);
         assert_eq!(counts.max_batch, 1);
-        assert_eq!(counts.deadline, 2);
+        assert_eq!(counts.idle, 2);
+        assert_eq!(counts.deadline, 0);
         assert_eq!(counts.steal, 1);
-        assert_eq!(counts.total(), 6);
+        assert_eq!(counts.total(), 5);
+        for (i, reason) in FlushReason::ALL.into_iter().enumerate() {
+            assert_eq!(reason.index(), i);
+            assert_eq!(FlushReason::from_label(reason.label()), Some(reason));
+        }
     }
 
     #[test]

@@ -59,10 +59,10 @@ impl std::fmt::Display for Priority {
 pub struct InferRequest {
     /// The image to classify (`[3, H, W]`, matching the model config).
     pub image: Tensor,
-    /// Absolute completion deadline. The batcher flushes a pending batch
-    /// early when any member's deadline comes within the configured slack
-    /// ([`crate::ServeConfig::deadline_slack`]); responses report whether
-    /// the deadline was met either way — a miss is recorded, never dropped.
+    /// Absolute completion deadline. Admission weighs it when choosing a
+    /// service level, and a lane with no full batch flushes the pending
+    /// level holding the earliest deadline first; responses report whether
+    /// the deadline was met — a miss is recorded, never dropped.
     pub deadline: Instant,
     /// Scheduling class.
     pub priority: Priority,

@@ -19,10 +19,13 @@
 //!    makes closed-loop load generation drop-free) and the client gets a
 //!    [`Ticket`] back immediately.
 //! 2. Each lane thread accumulates its queued requests into per-level
-//!    pending batches, high-priority first, and flushes a level when the
-//!    first of three conditions trips: its batch is full (`max_batch`),
-//!    some member's deadline is within `deadline_slack`, or no new request
-//!    has arrived for `idle_flush`. A lane with nothing to do *steals*
+//!    pending batches, high-priority first, and is *work-conserving*: a
+//!    full level flushes as [`FlushReason::MaxBatch`], and otherwise the
+//!    level holding the earliest deadline flushes at once, partial, as
+//!    [`FlushReason::Idle`] — the lane was free, so nothing is gained by
+//!    waiting. Requests that arrive while a batch executes queue up and form
+//!    the next batch, so batch size grows with load and no timer is needed.
+//!    A lane with nothing to do *steals*
 //!    ([`StealPolicy`]): it scans the other lanes' queue depths, locks the
 //!    deepest backlogged victim, takes up to one `max_batch` of requests
 //!    off its front (scheduling order, leaving the victim a batch to form),
@@ -219,13 +222,6 @@ pub struct ServeConfig {
     /// waits for space on the request's home lane, [`Server::try_submit`]
     /// returns [`SubmitError::Full`].
     pub queue_capacity: usize,
-    /// Flush a non-empty pending batch once no new request has arrived on
-    /// the lane for this long (latency floor under trickle traffic).
-    pub idle_flush: Duration,
-    /// Flush once the earliest deadline in a lane's pending batches is
-    /// within this margin of now — the margin should cover one batch's
-    /// service time so the response still makes the deadline.
-    pub deadline_slack: Duration,
     /// Deadline budget given to [`Server::submit_image`] conveniences.
     pub default_deadline: Duration,
     /// Worker policy of the underlying [`Engine`]s (how each formed batch
@@ -256,8 +252,6 @@ impl Default for ServeConfig {
         Self {
             max_batch: 8,
             queue_capacity: 64,
-            idle_flush: Duration::from_millis(1),
-            deadline_slack: Duration::from_millis(2),
             default_deadline: Duration::from_millis(50),
             engine: heatvit::EngineConfig::default(),
             slo: SloPolicy::default(),
@@ -322,8 +316,6 @@ struct LaneQueue {
     /// `false` once shutdown begins: submissions are refused, the lanes
     /// drain what remains.
     open: bool,
-    /// Most recent arrival on this lane, driving its idle-flush timer.
-    last_arrival: Option<Instant>,
 }
 
 impl Default for LaneQueue {
@@ -332,7 +324,6 @@ impl Default for LaneQueue {
             high: VecDeque::new(),
             normal: VecDeque::new(),
             open: true,
-            last_arrival: None,
         }
     }
 }
@@ -697,7 +688,6 @@ impl<M: InferenceModel + 'static> Server<M> {
         let depth = queue.len() as u64;
         lane.depth.set(depth);
         lane.depth_hwm.set_max(depth);
-        queue.last_arrival = Some(now);
         drop(queue);
         lane.arrived.notify_all();
         Ok(Ticket { slot })
@@ -891,51 +881,20 @@ fn lane_loop<M: InferenceModel + 'static>(shared: Arc<Shared<M>>, lane_index: us
     loop {
         let step = {
             let mut queue = lane.queue.lock().expect("lane queue poisoned");
-            loop {
-                if top_up(&mut queue, &mut pending, config.max_batch) {
-                    lane.depth.set(queue.len() as u64);
-                    lane.space.notify_all();
-                }
-                if let Some(full) = pending.iter().position(|b| b.len() >= config.max_batch) {
-                    break Step::Flush(full, FlushReason::MaxBatch);
-                }
-                let urgent = most_urgent_level(&pending);
-                if !queue.open {
-                    break match urgent {
-                        Some(level) => Step::Flush(level, FlushReason::Shutdown),
-                        None => Step::Drained,
-                    };
-                }
-                let Some(urgent) = urgent else {
-                    break Step::Idle;
-                };
-                // A partial batch is pending: sleep until whichever flush
-                // timer trips first, unless a new arrival wakes us to top
-                // up (and possibly hit max_batch) sooner.
-                let now = Instant::now();
-                let earliest_deadline = pending
-                    .iter()
-                    .flatten()
-                    .map(|p| p.deadline)
-                    .min()
-                    .expect("some batch is non-empty");
-                let deadline_at = earliest_deadline
-                    .checked_sub(config.deadline_slack)
-                    .unwrap_or(now);
-                let idle_at = queue.last_arrival.unwrap_or(now) + config.idle_flush;
-                let (flush_at, tentative) = if deadline_at <= idle_at {
-                    (deadline_at, FlushReason::Deadline)
-                } else {
-                    (idle_at, FlushReason::Idle)
-                };
-                if flush_at <= now {
-                    break Step::Flush(urgent, tentative);
-                }
-                let (guard, _timeout) = lane
-                    .arrived
-                    .wait_timeout(queue, flush_at - now)
-                    .expect("lane queue poisoned");
-                queue = guard;
+            if top_up(&mut queue, &mut pending, config.max_batch) {
+                lane.depth.set(queue.len() as u64);
+                lane.space.notify_all();
+            }
+            // Work-conserving: the lane is free right now, so a partial
+            // batch flushes at once instead of waiting for company.
+            match pending.iter().position(|b| b.len() >= config.max_batch) {
+                Some(full) => Step::Flush(full, FlushReason::MaxBatch),
+                None => match (most_urgent_level(&pending), queue.open) {
+                    (Some(level), true) => Step::Flush(level, FlushReason::Idle),
+                    (Some(level), false) => Step::Flush(level, FlushReason::Shutdown),
+                    (None, true) => Step::Idle,
+                    (None, false) => Step::Drained,
+                },
             }
         };
         match step {

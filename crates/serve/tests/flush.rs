@@ -1,15 +1,21 @@
-//! Batcher flush-policy coverage: max-batch flush, deadline-proximity
-//! flush, idle flush, and the shutdown drain (no request dropped), plus
-//! the parity gate — served logits bitwise identical to
-//! `Engine::infer_batch` on the same images.
+//! Batcher flush-policy coverage: lanes are work-conserving, so a free
+//! lane flushes what it holds at once — full batches as `MaxBatch`, partial
+//! ones as `Idle` — and shutdown drains every accepted request. Plus the
+//! parity gate: served logits bitwise identical to `Engine::infer_batch`
+//! on the same images.
 //!
-//! Timing-dependent tests use widely separated timescales (milliseconds vs.
-//! tens of seconds) so scheduler jitter on a loaded single-core CI machine
-//! cannot flip which policy fires.
+//! No test picks its flush policy by timing: where batch shape matters, a
+//! gated model holds one batch inside the engine while the test queues
+//! the next ones behind it.
 
+mod common;
+
+use common::gated;
 use heatvit::{Backend, Engine};
 use heatvit_selector::{PrunedViT, TokenSelector};
-use heatvit_serve::{FlushReason, InferRequest, Priority, ServeConfig, Server, SubmitError};
+use heatvit_serve::{
+    FlushReason, InferRequest, Priority, ServeConfig, Server, SubmitError, Ticket,
+};
 use heatvit_tensor::Tensor;
 use heatvit_vit::{ViTConfig, VisionTransformer};
 use rand::rngs::StdRng;
@@ -48,121 +54,119 @@ fn request(image: &Tensor, budget: Duration) -> InferRequest {
     }
 }
 
+/// The backlog that queues behind a running batch forms the next batches:
+/// exactly `max_batch` first, High before Normal, flushed because it is
+/// full, then the remainder at once because the lane is free again.
 #[test]
-fn max_batch_flushes_without_waiting_for_timers() {
-    // Timers are far away (10 min deadlines, 30 s idle): the only way these
-    // requests resolve promptly is the max-batch policy.
+fn max_batch_flushes_the_backlog_behind_a_running_batch() {
+    let max_batch = 4;
     let config = ServeConfig {
-        max_batch: 4,
+        max_batch,
         queue_capacity: 16,
-        idle_flush: Duration::from_secs(30),
-        deadline_slack: Duration::ZERO,
         ..ServeConfig::default()
     };
-    let server = Server::start(model(1), config);
-    let imgs = images(2, 8, 16);
-    let tickets: Vec<_> = imgs
+    let (served, gate) = gated(model(1));
+    let server = Server::start(served, config);
+    let imgs = images(2, max_batch + 4, 16);
+    let first = server.submit(request(&imgs[0], FAR_FUTURE)).expect("open");
+    gate.wait_entered(1);
+    // N H N H N H N: three High, four Normal, queued while the lane is busy.
+    let backlog: Vec<_> = imgs[1..]
         .iter()
-        .map(|img| server.submit(request(img, FAR_FUTURE)).expect("open"))
+        .enumerate()
+        .map(|(i, img)| {
+            let mut req = request(img, FAR_FUTURE);
+            if i % 2 == 1 {
+                req.priority = Priority::High;
+            }
+            server.submit(req).expect("open")
+        })
         .collect();
-    for ticket in tickets {
+    gate.open();
+
+    let shape = |ticket: Ticket| {
         let response = ticket.wait();
-        assert_eq!(response.batch_size, 4);
-        assert_eq!(response.flush, FlushReason::MaxBatch);
-    }
-    let report = server.shutdown();
-    assert_eq!(report.completed(), 8);
-    assert_eq!(report.flushes().max_batch, 2);
-    assert_eq!(report.batch_histogram(), vec![(4, 2)]);
-}
-
-#[test]
-fn deadline_proximity_flushes_a_partial_batch() {
-    // One request, deadline 50 ms out, idle timer 60 s out: only the
-    // deadline policy can flush before the test's sanity timeout.
-    let config = ServeConfig {
-        max_batch: 64,
-        queue_capacity: 16,
-        idle_flush: Duration::from_secs(60),
-        deadline_slack: Duration::from_millis(5),
-        ..ServeConfig::default()
+        (response.batch_size, response.flush)
     };
-    let server = Server::start(model(3), config);
-    let img = &images(4, 1, 16)[0];
-    let submitted = Instant::now();
-    let ticket = server
-        .submit(request(img, Duration::from_millis(50)))
-        .expect("open");
-    let response = ticket
-        .wait_timeout(Duration::from_secs(20))
-        .expect("deadline flush must fire long before the idle timer");
-    assert_eq!(response.flush, FlushReason::Deadline);
-    assert_eq!(response.batch_size, 1);
-    // It flushed near the deadline, not at the 60 s idle horizon.
-    assert!(submitted.elapsed() < Duration::from_secs(20));
+    assert_eq!(shape(first), (1, FlushReason::Idle));
+    // The full batch is the three High plus the oldest Normal.
+    let full = (max_batch, FlushReason::MaxBatch);
+    let rest = (3, FlushReason::Idle);
+    let shapes: Vec<_> = backlog.into_iter().map(shape).collect();
+    assert_eq!(shapes, vec![full, full, rest, full, rest, full, rest]);
     let report = server.shutdown();
-    assert_eq!(report.flushes().deadline, 1);
-    assert_eq!(report.completed(), 1);
+    assert_eq!(report.completed(), max_batch as u64 + 4);
+    assert_eq!(report.flushes().max_batch, 1);
+    assert_eq!(report.flushes().idle, 2);
+    assert_eq!(report.batch_histogram(), vec![(1, 1), (3, 1), (4, 1)]);
 }
 
+/// A lone request on a free lane is served at once, alone: there is no
+/// timer to wait for and nothing else to batch with.
 #[test]
 fn idle_flush_serves_trickle_traffic() {
-    // Deadlines 10 min out, idle timer 25 ms: only the queue-idle policy
-    // can flush this partial batch.
     let config = ServeConfig {
         max_batch: 64,
         queue_capacity: 16,
-        idle_flush: Duration::from_millis(25),
-        deadline_slack: Duration::ZERO,
         ..ServeConfig::default()
     };
     let server = Server::start(model(5), config);
-    let imgs = images(6, 3, 16);
-    let tickets: Vec<_> = imgs
-        .iter()
-        .map(|img| server.submit(request(img, FAR_FUTURE)).expect("open"))
-        .collect();
-    for ticket in tickets {
-        let response = ticket
-            .wait_timeout(Duration::from_secs(30))
-            .expect("idle flush must fire");
+    for img in &images(6, 3, 16) {
+        let response = server
+            .submit(request(img, FAR_FUTURE))
+            .expect("open")
+            .wait();
+        assert_eq!(response.batch_size, 1);
         assert_eq!(response.flush, FlushReason::Idle);
     }
     let report = server.shutdown();
     assert_eq!(report.completed(), 3);
-    assert!(report.flushes().idle >= 1);
-    assert_eq!(report.flushes().deadline, 0);
+    assert_eq!(report.flushes().idle, 3);
+    assert_eq!(report.flushes().total(), 3);
 }
 
+/// Shutdown while a batch is held: the backlog drains, a full batch as
+/// `MaxBatch` and the remainder as `Shutdown`, and nothing is dropped.
 #[test]
 fn shutdown_drains_every_queued_request() {
-    // All timers far away; shutdown must serve all 10 requests anyway:
-    // 2 full batches (max-batch) + one 2-request shutdown-drain remainder.
     let config = ServeConfig {
         max_batch: 4,
         queue_capacity: 16,
-        idle_flush: Duration::from_secs(60),
-        deadline_slack: Duration::ZERO,
         ..ServeConfig::default()
     };
-    let server = Server::start(model(7), config);
-    let imgs = images(8, 10, 16);
+    let (served, gate) = gated(model(7));
+    let server = Server::start(served, config);
+    let imgs = images(8, 7, 16);
     let tickets: Vec<_> = imgs
         .iter()
-        .map(|img| server.submit(request(img, FAR_FUTURE)).expect("open"))
+        .enumerate()
+        .map(|(i, img)| {
+            let ticket = server.submit(request(img, FAR_FUTURE)).expect("open");
+            if i == 0 {
+                gate.wait_entered(1);
+            }
+            ticket
+        })
         .collect();
+    server.close();
+    gate.open();
     let report = server.shutdown();
-    assert_eq!(report.completed(), 10, "shutdown dropped requests");
-    assert!(
-        report.flushes().shutdown >= 1,
-        "the sub-max_batch remainder can only flush via the shutdown drain: {:?}",
-        report.flushes()
-    );
+    assert_eq!(report.completed(), 7, "shutdown dropped requests");
+    assert_eq!(report.flushes().idle, 1);
+    assert_eq!(report.flushes().max_batch, 1);
+    assert_eq!(report.flushes().shutdown, 1);
     // Every ticket resolves even though shutdown already returned.
-    for ticket in tickets {
-        let response = ticket.try_take().expect("drained response must be ready");
-        assert!(response.batch_size <= 4);
-    }
+    let reasons: Vec<_> = tickets
+        .into_iter()
+        .map(|ticket| {
+            let response = ticket.try_take().expect("drained response must be ready");
+            (response.batch_size, response.flush)
+        })
+        .collect();
+    let mut expected = vec![(1, FlushReason::Idle)];
+    expected.extend([(4, FlushReason::MaxBatch); 4]);
+    expected.extend([(2, FlushReason::Shutdown); 2]);
+    assert_eq!(reasons, expected);
 }
 
 #[test]
@@ -214,8 +218,6 @@ fn served_outputs_are_bitwise_identical_to_engine_infer_batch() {
     let config = ServeConfig {
         max_batch: 4,
         queue_capacity: 16,
-        idle_flush: Duration::from_millis(5),
-        deadline_slack: Duration::from_millis(2),
         ..ServeConfig::default()
     };
     let server = Server::start(pruned_model(12), config);
@@ -244,7 +246,6 @@ fn mixed_priorities_all_complete() {
     let config = ServeConfig {
         max_batch: 3,
         queue_capacity: 16,
-        idle_flush: Duration::from_millis(5),
         ..ServeConfig::default()
     };
     let server = Server::start(model(13), config);
@@ -271,7 +272,6 @@ fn concurrent_submitters_share_one_server() {
     let config = ServeConfig {
         max_batch: 4,
         queue_capacity: 8,
-        idle_flush: Duration::from_millis(2),
         ..ServeConfig::default()
     };
     let server = Server::start(model(15), config);

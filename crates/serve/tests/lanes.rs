@@ -3,9 +3,13 @@
 //! dropped on drain), and per-backend lane isolation under mixed traffic.
 //!
 //! The parity and steal tests run real inference (a µDeiT backbone) so the
-//! lanes genuinely contend; the isolation test drives admission with a
-//! fixed latency model so the routing decisions are deterministic.
+//! lanes genuinely contend; the steal test builds its backlog behind a
+//! gated batch, and the isolation test drives admission with a fixed
+//! latency model, so neither depends on timing.
 
+mod common;
+
+use common::gated;
 use heatvit::{Backend, CostProfile, Engine, LatencyModel};
 use heatvit_quant::QuantizedViT;
 use heatvit_selector::{PrunedViT, TokenSelector};
@@ -60,8 +64,6 @@ fn served_outputs_are_bitwise_identical_at_1_2_and_4_lanes() {
         let config = ServeConfig {
             max_batch: 4,
             queue_capacity: 32,
-            idle_flush: Duration::from_millis(5),
-            deadline_slack: Duration::from_millis(2),
             lanes: LaneCount::Fixed(lanes),
             ..ServeConfig::default()
         };
@@ -94,17 +96,17 @@ fn served_outputs_are_bitwise_identical_at_1_2_and_4_lanes() {
 }
 
 /// Work-steal correctness under a drain: a deep backlog on lane 0's queue,
-/// lane 1 with nothing homed on it. Every request resolves exactly once
-/// (the one-shot response slots debug-assert against double fills), none
-/// is dropped by the shutdown drain, and the idle lane actually steals.
+/// built by holding lane 0's first batch at a gate, and lane 1 with nothing
+/// homed on it. The gate opens only once lane 1 has stolen a batch too.
+/// Every request resolves exactly once (the one-shot response slots
+/// debug-assert against double fills) and none is dropped by the shutdown
+/// drain.
 #[test]
 fn stealing_drains_a_backlogged_lane_without_loss_or_double_service() {
     let requests = 48usize;
     let config = ServeConfig {
         max_batch: 2,
         queue_capacity: requests,
-        idle_flush: Duration::from_secs(60),
-        deadline_slack: Duration::ZERO,
         lanes: LaneCount::Fixed(2),
         steal: StealPolicy {
             enabled: true,
@@ -113,16 +115,27 @@ fn stealing_drains_a_backlogged_lane_without_loss_or_double_service() {
         },
         ..ServeConfig::default()
     };
-    let server = Server::start(pruned_model(23), config);
+    let (served, gate) = gated(pruned_model(23));
+    let server = Server::start(served, config);
     let imgs = images(24, requests);
     let tickets: Vec<_> = imgs
         .iter()
-        .map(|img| {
-            server
+        .enumerate()
+        .map(|(i, img)| {
+            let ticket = server
                 .submit(request(img, FAR_FUTURE, Priority::Normal))
-                .expect("open")
+                .expect("open");
+            if i == 0 {
+                // Lane 0 now holds a batch of one; the rest queue behind it.
+                gate.wait_entered(1);
+            }
+            ticket
         })
         .collect();
+    // The backlog exceeds the keep-local threshold, so lane 1 steals a
+    // batch and parks at the gate as well.
+    gate.wait_entered(2);
+    gate.open();
     let report = server.shutdown();
     assert_eq!(
         report.completed(),
@@ -136,7 +149,7 @@ fn stealing_drains_a_backlogged_lane_without_loss_or_double_service() {
     assert_eq!(report.lane_steals()[0], 0, "lane 0 had nothing to steal");
     assert!(
         report.stolen() > 0,
-        "a 48-deep backlog against an idle lane must get stolen from: {:?}",
+        "lane 1 stole before the gate opened: {:?}",
         report.lane_served()
     );
     // Steal flushes carry at most max_batch (2) requests each.
@@ -162,7 +175,6 @@ fn disabled_stealing_pins_work_to_the_home_lane() {
     let config = ServeConfig {
         max_batch: 4,
         queue_capacity: 32,
-        idle_flush: Duration::from_millis(2),
         lanes: LaneCount::Fixed(2),
         steal: StealPolicy {
             enabled: false,
@@ -231,7 +243,6 @@ fn int8_and_float_levels_batch_on_their_own_lanes() {
     let config = ServeConfig {
         max_batch: 8,
         queue_capacity: 32,
-        idle_flush: Duration::from_millis(2),
         lanes: LaneCount::Fixed(2),
         assignment: LaneAssignment::RoundRobin,
         slo: SloPolicy {

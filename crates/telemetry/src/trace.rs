@@ -45,8 +45,8 @@ pub struct BatchSpan {
     pub level: usize,
     /// Requests in the batch.
     pub size: usize,
-    /// Flush policy label (`"max_batch"`, `"deadline"`, `"idle"`,
-    /// `"shutdown"`, `"steal"`).
+    /// Flush policy label (`"max_batch"`, `"idle"`, `"shutdown"`,
+    /// `"steal"`).
     pub reason: &'static str,
     /// The latency model's µs prediction for this batch (made before the
     /// measurement fed back).
