@@ -80,23 +80,29 @@ pub const SOFTMAX_FLUSH: f32 = -87.0;
 /// negative that the shift leaves the `f32` exponent range
 /// ([`EXP_SHIFT_MAX`] bits) flush to exactly `0.0`.
 ///
-/// Straight-line code, so a loop over it vectorizes: `z` comes from a
-/// truncating cast (`−x̃/ln2 ≥ 0`, where truncation is `floor`), `2⁻ᶻ` is
-/// assembled from its exponent bits, and the flush is a select. Multiplying
-/// by the exact power of two `2⁻ᶻ` rounds like dividing by `2ᶻ` does, so
-/// the result is bit-for-bit that of the `floor`/`powi` definition (kept as
-/// the tests' reference).
+/// Straight-line float code, so a loop over it vectorizes: `z = ⌊−x̃/ln2⌋`
+/// is taken and clamped in float, the clamped shift's integer is read out
+/// of its low mantissa bits to assemble `2⁻ᶻ`, and the flush is a select.
+/// (A float-to-int `as` cast would saturate, which keeps such a loop
+/// scalar.) Multiplying by the exact power of two `2⁻ᶻ` rounds like
+/// dividing by `2ᶻ` does, so the result is bit-for-bit that of the
+/// `floor`/`powi` definition (kept as the tests' reference) on every
+/// `f32`.
+#[inline]
 pub fn exp_shift(x_tilde: f32) -> f32 {
-    const MAX_SHIFT: i32 = EXP_SHIFT_MAX as i32;
+    // Adding 1.5·2²³ to an integer in [0, 2²²) leaves that integer in the
+    // low mantissa bits of the sum.
+    const ROUND: f32 = 12_582_912.0;
     let x = x_tilde.min(0.0);
-    // Saturating cast: −∞ gives i32::MAX, which the select below flushes.
-    let z = (-x / std::f32::consts::LN_2) as i32;
-    let shift = z.min(MAX_SHIFT);
-    let p = x + shift as f32 * std::f32::consts::LN_2;
+    // ≥ 0 (or +∞); `min` leaves a NaN out, so `x` is never NaN.
+    let z = (-x / std::f32::consts::LN_2).floor();
+    let shift = z.min(EXP_SHIFT_MAX);
+    let p = x + shift * std::f32::consts::LN_2;
     // exp(p) >> shift
-    let pow = f32::from_bits(((127 - shift) as u32) << 23);
+    let bits = (shift + ROUND).to_bits() & 0xFF;
+    let pow = f32::from_bits((127 - bits) << 23);
     let y = exp_poly(p) * pow;
-    if z > MAX_SHIFT {
+    if z > EXP_SHIFT_MAX {
         0.0
     } else {
         y
@@ -276,6 +282,17 @@ mod tests {
         }
         assert_eq!(exp_shift(f32::NEG_INFINITY), 0.0);
         assert_eq!(exp_shift(f32::NAN), exp_shift(0.0));
+    }
+
+    /// Every `f32` bit pattern, not a sample: the claim the dense sweep
+    /// above stands in for.
+    #[test]
+    #[ignore = "all 2³² inputs; run with `cargo test --release -- --ignored`"]
+    fn exp_shift_is_bit_identical_on_every_f32() {
+        let mismatch = (0..=u32::MAX)
+            .map(f32::from_bits)
+            .find(|&x| exp_shift(x).to_bits() != exp_shift_reference(x).to_bits());
+        assert_eq!(mismatch, None);
     }
 
     #[test]
