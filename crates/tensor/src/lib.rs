@@ -47,7 +47,7 @@ pub use matmul::{
     packed_len, GemmScratch, MatMut, MatRef, MR, NR,
 };
 pub use random::sample_standard_normal;
-pub use reduce::{mean_var, softmax_inplace};
+pub use reduce::{mean_var, softmax_inplace, softmax_numerators};
 pub use shape::Shape;
 pub use tensor::Tensor;
 

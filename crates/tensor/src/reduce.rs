@@ -8,15 +8,18 @@ use crate::Tensor;
 /// order of additions.
 const LANES: usize = 16;
 
-/// Softmax of one row, in place: `rowᵢ ← e^{rowᵢ − max} / Σⱼ e^{rowⱼ − max}`.
+/// Softmax's numerators of one row, in place: `rowᵢ ← exp(rowᵢ − max)`,
+/// returning their sum. The one row order every softmax here shares; the
+/// caller passes its exponential and normalizes.
 ///
-/// The exponential is [`exp_nonpos`] (so an entry more than ≈ 87 below the
-/// maximum — a masked attention score — becomes exactly `0.0`). The row is
-/// walked in blocks of 16 values: lane `i` sums every whole block's
-/// `i`-th exponential, the lanes are added left to right, then the values
-/// past the last whole block. That order is fixed, so the result is the
-/// same on every target and for every caller. An empty row is left alone.
-pub fn softmax_inplace(row: &mut [f32]) {
+/// The row is walked in blocks of 16 values: lane `i` sums every whole
+/// block's `i`-th exponential, the lanes are added left to right, then the
+/// values past the last whole block. That order is fixed, so the result is
+/// the same on every target and for every caller. A row shorter than 32
+/// values is thereby summed in plain left-to-right order. An empty row is
+/// left alone and sums to `0.0`.
+#[inline]
+pub fn softmax_numerators(row: &mut [f32], exp: impl Fn(f32) -> f32) -> f32 {
     // The maximum does not depend on the order it is taken in; sixteen
     // running maxima vectorize where one would be a serial chain.
     let larger = |m: f32, v: f32| if v > m { v } else { m };
@@ -38,15 +41,25 @@ pub fn softmax_inplace(row: &mut [f32]) {
     let mut blocks = row.chunks_exact_mut(LANES);
     for block in &mut blocks {
         for (sum, v) in lanes.iter_mut().zip(block) {
-            *v = exp_nonpos(*v - max);
+            *v = exp(*v - max);
             *sum += *v;
         }
     }
     let mut sum = lanes.iter().sum::<f32>();
     for v in blocks.into_remainder() {
-        *v = exp_nonpos(*v - max);
+        *v = exp(*v - max);
         sum += *v;
     }
+    sum
+}
+
+/// Softmax of one row, in place: `rowᵢ ← e^{rowᵢ − max} / Σⱼ e^{rowⱼ − max}`.
+///
+/// The exponential is [`exp_nonpos`] (so an entry more than ≈ 87 below the
+/// maximum — a masked attention score — becomes exactly `0.0`), summed in
+/// [`softmax_numerators`]' fixed 16-lane order. An empty row is left alone.
+pub fn softmax_inplace(row: &mut [f32]) {
+    let sum = softmax_numerators(row, exp_nonpos);
     for v in row.iter_mut() {
         *v /= sum;
     }
