@@ -415,11 +415,6 @@ impl<M: InferenceModel> Engine<M> {
         &self.model
     }
 
-    /// Mutable access to the wrapped model.
-    pub fn model_mut(&mut self) -> &mut M {
-        &mut self.model
-    }
-
     /// Consumes the engine, returning the model.
     pub fn into_model(self) -> M {
         self.model

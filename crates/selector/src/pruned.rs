@@ -76,11 +76,6 @@ impl PrunedViT {
         &self.backbone
     }
 
-    /// Mutable access to the backbone (fine-tuning).
-    pub fn backbone_mut(&mut self) -> &mut VisionTransformer {
-        &mut self.backbone
-    }
-
     /// Enables or disables the token packager (the Fig. 12 "discard"
     /// ablation sets this to `false`).
     pub fn set_package_enabled(&mut self, enabled: bool) {
@@ -100,16 +95,6 @@ impl PrunedViT {
     pub fn insert_selector(&mut self, block: usize, selector: TokenSelector) {
         assert!(block < self.selectors.len(), "block index out of range");
         self.selectors[block] = Some(selector);
-    }
-
-    /// Removes the selector in front of block `block`, returning it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block` is out of range.
-    pub fn remove_selector(&mut self, block: usize) -> Option<TokenSelector> {
-        assert!(block < self.selectors.len(), "block index out of range");
-        self.selectors[block].take()
     }
 
     /// The selector slots, one per block.

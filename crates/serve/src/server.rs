@@ -750,20 +750,6 @@ impl<M: InferenceModel + 'static> Server<M> {
         self.shared.home[index]
     }
 
-    /// The model serving level `index` (0 = most accurate).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn level_model(&self, index: usize) -> &M {
-        self.shared.levels[index].engine.model()
-    }
-
-    /// The latency model admission consults.
-    pub fn latency_model(&self) -> &Arc<dyn LatencyModel> {
-        &self.shared.latency
-    }
-
     /// Closes the queues, waits for the drain to finish (every accepted
     /// ticket resolves first), and returns the final report.
     pub fn shutdown(mut self) -> ServeReport {

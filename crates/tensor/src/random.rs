@@ -62,12 +62,6 @@ impl Tensor {
         let bound = (6.0 / (fan_in + fan_out) as f32).sqrt();
         Tensor::rand_uniform(&[fan_in, fan_out], -bound, bound, rng)
     }
-
-    /// Kaiming/He-normal initialization for a `[fan_in, fan_out]` weight.
-    pub fn kaiming_normal(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> Tensor {
-        let std = (2.0 / fan_in as f32).sqrt();
-        Tensor::rand_normal(&[fan_in, fan_out], 0.0, std, rng)
-    }
 }
 
 /// One sample from the standard normal distribution (Box–Muller transform).

@@ -200,18 +200,6 @@ impl Tensor {
         }
     }
 
-    /// Reinterprets the shape in place (no copy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element counts differ.
-    pub fn into_reshaped(mut self, dims: &[usize]) -> Self {
-        let shape = Shape::new(dims);
-        assert_eq!(shape.numel(), self.numel(), "reshape changes element count");
-        self.shape = shape;
-        self
-    }
-
     /// Borrows row `i` of a rank-2 tensor.
     ///
     /// # Panics
