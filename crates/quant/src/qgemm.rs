@@ -207,6 +207,10 @@ mod vnni {
             && is_x86_feature_detected!("avx512vnni")
     }
 
+    // The inner loop calls only `#[inline]` helpers, no generic `std` ones
+    // such as `array::map`: in another codegen unit a call stays out of line,
+    // and `tile`'s accumulators go to the stack at a 5× cost.
+    #[inline]
     #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
     fn load(bytes: &[i8; GROUP]) -> __m512i {
         // SAFETY: `bytes` is exactly the 64 readable bytes an unaligned
@@ -214,20 +218,24 @@ mod vnni {
         unsafe { _mm512_loadu_si512(bytes.as_ptr().cast()) }
     }
 
-    /// The `t`-th 4-byte word of `bytes` with every sign bit flipped: the
+    /// The `t`-th 4-byte word of each row with every sign bit flipped: the
     /// four `a` values as the unsigned `a + 128` that `vpdpbusd` wants.
     /// Flipped on the scalar, not with a vector XOR after the broadcast:
     /// at `target-cpu=native` on AVX-512 hosts the vector form sends rustc
     /// into a minutes-long compile.
     #[inline(always)]
-    fn biased_word(bytes: &[i8], t: usize) -> i32 {
-        let word: [i8; QKG] = bytes[t * QKG..][..QKG]
-            .try_into()
-            .expect("slice of QKG bytes");
-        i32::from_ne_bytes(word.map(|v| v as u8)) ^ 0x8080_8080u32 as i32
+    fn biased_words(rows: [&[i8]; QMR], t: usize) -> [i32; QMR] {
+        let word = |row: &[i8]| {
+            let w = &row[t * QKG..][..QKG];
+            i32::from_ne_bytes([w[0] as u8, w[1] as u8, w[2] as u8, w[3] as u8])
+                ^ 0x8080_8080u32 as i32
+        };
+        let [r0, r1, r2, r3] = rows;
+        [word(r0), word(r1), word(r2), word(r3)]
     }
 
     /// `acc[r] += Σₜ (a_r[t] + 128) · b[·][t]` for the four rows of a tile.
+    #[inline]
     #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
     fn accumulate(acc: &mut [__m512i; QMR], words: [i32; QMR], b: __m512i) {
         for (sum, word) in acc.iter_mut().zip(words) {
@@ -238,6 +246,7 @@ mod vnni {
     /// One [`QMR`]`×`[`QNR`] tile: the exact `i32` sums `Σ a·b` of four `a`
     /// rows against one packed panel. Two accumulator sets (even and odd
     /// k-groups) keep eight independent `vpdpbusd` chains in flight.
+    #[inline]
     #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
     fn tile(rows: [&[i8]; QMR], k: usize, panel: &[i8]) -> [__m512i; QMR] {
         let (header, groups) = panel
@@ -260,8 +269,8 @@ mod vnni {
                 .expect("two groups per pair");
             let b_odd = b_odd.first_chunk::<GROUP>().expect("two groups per pair");
             let a = [a0, a1, a2, a3];
-            accumulate(&mut even, a.map(|w| biased_word(w, 0)), load(b_even));
-            accumulate(&mut odd, a.map(|w| biased_word(w, 1)), load(b_odd));
+            accumulate(&mut even, biased_words(a, 0), load(b_even));
+            accumulate(&mut odd, biased_words(a, 1), load(b_odd));
         }
         // The last one or two groups when `k` is not a multiple of eight:
         // the rows' leftover bytes, zero-padded to two words (a padded `a`
@@ -274,11 +283,13 @@ mod vnni {
                 padded[..left.len()].copy_from_slice(left);
                 padded
             });
+            let [t0, t1, t2, t3] = &tails;
+            let tails = [&t0[..], &t1[..], &t2[..], &t3[..]];
             let b_even = b_even.first_chunk::<GROUP>().expect("whole group");
-            accumulate(&mut even, tails.map(|w| biased_word(&w, 0)), load(b_even));
+            accumulate(&mut even, biased_words(tails, 0), load(b_even));
             if let Some(b_odd) = rest.next() {
                 let b_odd = b_odd.first_chunk::<GROUP>().expect("whole group");
-                accumulate(&mut odd, tails.map(|w| biased_word(&w, 1)), load(b_odd));
+                accumulate(&mut odd, biased_words(tails, 1), load(b_odd));
             }
         }
         let mut sums = even;
