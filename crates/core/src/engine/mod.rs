@@ -348,32 +348,6 @@ impl<M: InferenceModel> Engine<M> {
         EngineBuilder::new(model)
     }
 
-    /// Wraps a model with a fresh single-threaded workspace.
-    #[deprecated(note = "use `Engine::builder(model).build()`")]
-    pub fn new(model: M) -> Self {
-        EngineBuilder::new(model).build()
-    }
-
-    /// Wraps a model with a pool of `threads` worker scratches.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    #[deprecated(note = "use `Engine::builder(model).threads(n).build()`")]
-    pub fn with_threads(model: M, threads: usize) -> Self {
-        EngineBuilder::new(model).threads(threads).build()
-    }
-
-    /// Wraps a model under an explicit [`EngineConfig`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fixes a zero thread count.
-    #[deprecated(note = "use `Engine::builder(model).config(config).build()`")]
-    pub fn with_config(model: M, config: EngineConfig) -> Self {
-        EngineBuilder::new(model).config(config).build()
-    }
-
     /// The active execution configuration (as built).
     pub fn config(&self) -> EngineConfig {
         self.config

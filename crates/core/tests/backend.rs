@@ -164,19 +164,3 @@ fn set_threads_reconfigures_in_place() {
     let sequential = Engine::builder(backbone(11)).build().infer_batch(&imgs);
     assert_eq!(sharded.logits.data(), sequential.logits.data());
 }
-
-/// The pre-builder constructors stay as thin shims; this is the one place
-/// that intentionally exercises them.
-#[allow(deprecated)]
-#[test]
-fn deprecated_constructor_shims_still_build_working_engines() {
-    let imgs = images(13, 3);
-    let reference = Engine::builder(backbone(1)).build().infer_batch(&imgs);
-    let via_new = Engine::new(backbone(1)).infer_batch(&imgs);
-    let via_threads = Engine::with_threads(backbone(1), 2).infer_batch(&imgs);
-    let via_config =
-        Engine::with_config(backbone(1), heatvit::EngineConfig::with_threads(2)).infer_batch(&imgs);
-    assert_eq!(via_new.logits.data(), reference.logits.data());
-    assert_eq!(via_threads.logits.data(), reference.logits.data());
-    assert_eq!(via_config.logits.data(), reference.logits.data());
-}

@@ -286,7 +286,6 @@ impl Stats {
         self.error_batches += 1;
     }
 
-    #[allow(deprecated)]
     pub fn report(&self) -> ServeReport {
         let completed = self.completed;
         let window = match (self.first_start, self.last_done) {
@@ -362,44 +361,33 @@ fn percentile_us(sorted: &[u64], q: f64) -> u64 {
 /// Per-SLO-class slice of a [`ServeReport`].
 ///
 /// Reports are views materialized from a telemetry snapshot; read through
-/// the accessor methods. The public fields remain as deprecated
-/// compatibility shims.
+/// the accessor methods.
 #[derive(Debug, Clone, Copy)]
 pub struct ClassReport {
     /// The SLO class this row describes.
-    #[deprecated(note = "use `ClassReport::class()`")]
-    pub class: Priority,
+    class: Priority,
     /// Requests of this class resolved.
-    #[deprecated(note = "use `ClassReport::completed()`")]
-    pub completed: u64,
+    completed: u64,
     /// Responses that resolved after their deadline.
-    #[deprecated(note = "use `ClassReport::deadline_misses()`")]
-    pub deadline_misses: u64,
+    deadline_misses: u64,
     /// Submissions refused with [`crate::SubmitError::Shed`] (admission
     /// predicted a miss at every service level).
-    #[deprecated(note = "use `ClassReport::sheds()`")]
-    pub sheds: u64,
+    sheds: u64,
     /// Requests served at a degraded level (level index > 0: a cheaper
     /// keep-rate schedule or backend than the class's best).
-    #[deprecated(note = "use `ClassReport::degraded()`")]
-    pub degraded: u64,
+    degraded: u64,
     /// Median latency, milliseconds.
-    #[deprecated(note = "use `ClassReport::p50_ms()`")]
-    pub p50_ms: f64,
+    p50_ms: f64,
     /// 95th-percentile latency, milliseconds.
-    #[deprecated(note = "use `ClassReport::p95_ms()`")]
-    pub p95_ms: f64,
+    p95_ms: f64,
     /// Worst latency, milliseconds (exact).
-    #[deprecated(note = "use `ClassReport::max_ms()`")]
-    pub max_ms: f64,
+    max_ms: f64,
     /// Mean accuracy proxy of the levels that served this class: the mean
     /// fraction of tokens kept relative to dense (1.0 = full accuracy
     /// budget; lower = degraded under load).
-    #[deprecated(note = "use `ClassReport::mean_keep()`")]
-    pub mean_keep: f64,
+    mean_keep: f64,
 }
 
-#[allow(deprecated)]
 impl ClassReport {
     /// The SLO class this row describes.
     pub fn class(&self) -> Priority {
@@ -462,72 +450,53 @@ impl ClassReport {
 ///
 /// A report is a *view* materialized from the server's telemetry registry
 /// ([`ServeReport::from_snapshot`]); read through the accessor methods.
-/// The public fields remain as deprecated compatibility shims for code
-/// written against the pre-telemetry report.
 #[derive(Debug, Clone)]
 pub struct ServeReport {
     /// Requests resolved.
-    #[deprecated(note = "use `ServeReport::completed()`")]
-    pub completed: u64,
+    completed: u64,
     /// Batches flushed.
-    #[deprecated(note = "use `ServeReport::batches()`")]
-    pub batches: u64,
+    batches: u64,
     /// Responses that resolved after their request's deadline.
-    #[deprecated(note = "use `ServeReport::deadline_misses()`")]
-    pub deadline_misses: u64,
+    deadline_misses: u64,
     /// Flush counts per policy.
-    #[deprecated(note = "use `ServeReport::flushes()`")]
-    pub flushes: FlushCounts,
+    flushes: FlushCounts,
     /// `(batch size, count)` pairs in ascending batch-size order.
-    #[deprecated(note = "use `ServeReport::batch_histogram()`")]
-    pub batch_histogram: Vec<(usize, u64)>,
+    batch_histogram: Vec<(usize, u64)>,
     /// Mean formed-batch size.
-    #[deprecated(note = "use `ServeReport::mean_batch()`")]
-    pub mean_batch: f64,
+    mean_batch: f64,
     /// Median request latency (submit → response), milliseconds. Exact up
     /// to [`MAX_LATENCY_SAMPLES`] requests, computed over a deterministic
     /// even-spread sample beyond that.
-    #[deprecated(note = "use `ServeReport::p50_ms()`")]
-    pub p50_ms: f64,
+    p50_ms: f64,
     /// 95th-percentile request latency, milliseconds (nearest-rank; same
     /// sampling bound as `p50_ms`).
-    #[deprecated(note = "use `ServeReport::p95_ms()`")]
-    pub p95_ms: f64,
+    p95_ms: f64,
     /// Worst request latency, milliseconds (always exact).
-    #[deprecated(note = "use `ServeReport::max_ms()`")]
-    pub max_ms: f64,
+    max_ms: f64,
     /// Completed requests per second over the serving window (first
     /// submission to last resolved batch).
-    #[deprecated(note = "use `ServeReport::throughput()`")]
-    pub throughput: f64,
+    throughput: f64,
     /// Per-SLO-class breakdown, [`Priority::High`] first.
-    #[deprecated(note = "use `ServeReport::classes()` or `ServeReport::class()`")]
-    pub classes: [ClassReport; 2],
+    classes: [ClassReport; 2],
     /// Requests served per service level (index 0 = the most accurate
     /// level; a single-backend server has one entry).
-    #[deprecated(note = "use `ServeReport::level_served()`")]
-    pub level_served: Vec<u64>,
+    level_served: Vec<u64>,
     /// Requests served per executing lane (stolen batches count for the
     /// thief — this is who did the work, `level_served` is what model ran).
-    #[deprecated(note = "use `ServeReport::lane_served()`")]
-    pub lane_served: Vec<u64>,
+    lane_served: Vec<u64>,
     /// Requests each lane executed out of batches it stole from another
     /// lane's queue (a subset of `lane_served`).
-    #[deprecated(note = "use `ServeReport::lane_steals()`")]
-    pub lane_steals: Vec<u64>,
+    lane_steals: Vec<u64>,
     /// Highest queue depth each lane ever reached (its backlog high-water
     /// mark against [`crate::ServeConfig::queue_capacity`]).
-    #[deprecated(note = "use `ServeReport::lane_queue_hwm()`")]
-    pub lane_queue_hwm: Vec<u64>,
+    lane_queue_hwm: Vec<u64>,
     /// Mean `|predicted − measured| / measured` batch execution-time error
     /// of the server's latency model, percent, over warmed-up batches
     /// (each level's first batch is excluded as model cold start). `NaN`
     /// until a warmed-up batch completes.
-    #[deprecated(note = "use `ServeReport::predicted_error_pct()`")]
-    pub predicted_error_pct: f64,
+    predicted_error_pct: f64,
 }
 
-#[allow(deprecated)]
 impl ServeReport {
     /// Materializes a report from a telemetry registry snapshot — the one
     /// way live reports are built. Every column is read back from the
