@@ -2,18 +2,18 @@
 //! pruned, statically pruned, training-free pruned, and int8-quantized ViT
 //! variants.
 //!
-//! The five pruned f32 variants are [`TokenPolicy`] implementations that
-//! run the backbone's one pruning loop, so their `infer_one` and
-//! `cost_profile` are written once (`policy_output`, `policy_profile`)
-//! and each impl delegates to them; only the dense backbone and the int8
-//! pipeline have loops of their own.
+//! The five pruned f32 variants and the int8 model are [`TokenPolicy`]
+//! implementations that run the one pruning loop, on the f32 or the int8
+//! [`BlockDomain`], so their `infer_one` and `cost_profile` are written once
+//! (`policy_output`, `policy_profile`) and each impl delegates to them; only
+//! the dense f32 backbone has a loop of its own.
 
 use crate::latency::CostProfile;
 use heatvit_quant::QuantizedViT;
 use heatvit_selector::{PruneScratch, PrunedViT, StaticPrunedViT};
 use heatvit_tensor::Tensor;
 use heatvit_tfprune::{ClsAttnPrunedViT, TokenMergeViT, TopKPrunedViT};
-use heatvit_vit::{TokenPolicy, ViTConfig, VisionTransformer};
+use heatvit_vit::{BlockDomain, PolicyWorkspace, TokenPolicy, ViTConfig, VisionTransformer};
 
 /// Result of one image's inference through any model variant.
 #[derive(Debug, Clone)]
@@ -141,7 +141,7 @@ impl InferenceModel for VisionTransformer {
     }
 
     fn infer_one(&self, image: &Tensor, scratch: &mut PruneScratch) -> ModelOutput {
-        let logits = self.infer_with(image, &mut scratch.vit);
+        let logits = self.infer_with(image, &mut scratch.vit.blocks);
         ModelOutput {
             logits,
             tokens_per_block: vec![self.config().num_tokens(); self.config().depth],
@@ -154,116 +154,77 @@ impl InferenceModel for VisionTransformer {
     }
 }
 
-impl InferenceModel for QuantizedViT {
-    /// `"int8-dense"` or `"int8-adaptive"` depending on pruning stages.
-    fn variant(&self) -> &str {
-        self.variant_name()
-    }
-
-    fn config(&self) -> &ViTConfig {
-        self.config()
-    }
-
-    /// Runs the integer pipeline through the engine's shared scratch: the
-    /// quantized model uses the `quant` compartment of [`PruneScratch`]
-    /// (int8 staging + float activation buffers), leaving the float
-    /// compartments untouched. Reported `macs` are packed-DSP-equivalent
-    /// (raw int8 MACs ÷ `heatvit_quant::DSP_PACKING_FACTOR`).
-    fn infer_one(&self, image: &Tensor, scratch: &mut PruneScratch) -> ModelOutput {
-        let inference = self.infer_with(image, &mut scratch.quant);
-        ModelOutput {
-            logits: inference.logits,
-            tokens_per_block: inference.tokens_per_block,
-            macs: inference.macs,
-        }
-    }
-
-    /// The *float-equivalent* dense baseline (unpacked raw MACs), so the
-    /// engine's MAC-speedup column exposes both the DSP-packing gain and any
-    /// token-pruning gain.
-    fn dense_macs(&self) -> u64 {
-        self.dense_macs()
-    }
-
-    /// Quantized profile (`quantized == true`, packed-DSP-equivalent MACs);
-    /// exact for the dense int8 variant, a nominal-keep expectation when
-    /// attention-threshold pruning stages are installed.
-    fn cost_profile(&self) -> CostProfile {
-        let tokens = self.expected_tokens_per_block();
-        let macs = self.packed_macs_for(&tokens);
-        CostProfile {
-            variant: self.variant().to_string(),
-            config: self.config().clone(),
-            exact: self.prune_stages().is_empty(),
-            quantized: true,
-            macs,
-            tokens_per_block: tokens,
-        }
-    }
-}
-
 /// One pruned inference as the engine reports it: the policy loop run in
-/// the f32 compartment of `scratch`, its MACs stage overhead included.
+/// its domain's compartment of the engine's scratch, its MACs stage overhead
+/// included and charged as the domain charges them.
 fn policy_output<P: TokenPolicy>(
     policy: &P,
     image: &Tensor,
-    scratch: &mut PruneScratch,
+    ws: &mut PolicyWorkspace<P>,
 ) -> ModelOutput {
-    let inference = policy.infer_with(image, &mut scratch.vit);
+    let (logits, tokens_per_block) = policy.run_with(image, ws);
     ModelOutput {
-        macs: policy.macs_for_tokens(&inference.tokens_per_block),
-        logits: inference.logits,
-        tokens_per_block: inference.tokens_per_block,
+        macs: policy.macs_for_tokens(&tokens_per_block),
+        logits,
+        tokens_per_block,
     }
 }
 
 /// The planned token schedule and its MACs: exact for the input-agnostic
 /// policies (*which* tokens survive varies per image, *how many* never
-/// does), the declared nominal keep of the learned selectors otherwise.
+/// does), the declared nominal keep of the adaptive ones otherwise.
 fn policy_profile<P: TokenPolicy + InferenceModel>(policy: &P) -> CostProfile {
     let tokens = policy.planned_tokens_per_block();
     CostProfile {
         variant: policy.variant().to_string(),
         config: InferenceModel::config(policy).clone(),
         exact: policy.plan_is_exact(),
-        quantized: false,
+        quantized: P::Domain::QUANTIZED,
         macs: policy.macs_for_tokens(&tokens),
         tokens_per_block: tokens,
     }
 }
 
-/// [`InferenceModel`] for each pruned f32 variant, delegating to the
-/// [`TokenPolicy`] loop.
+/// [`InferenceModel`] for each pruning policy, delegating to the
+/// [`TokenPolicy`] loop in the `$compartment` of the engine's scratch. A
+/// model's `variant` is its `VARIANT`, or what `$variant` returns for it.
+/// `dense_macs` is the domain's raw count: for int8 the float-equivalent
+/// baseline, so the engine's MAC-speedup column shows the DSP-packing gain
+/// as well as the pruning gain.
 macro_rules! token_policy_models {
-    ($($model:ty),+) => {$(
+    ($compartment:ident: $model:ty => $variant:expr) => {
         impl InferenceModel for $model {
             fn variant(&self) -> &str {
-                Self::VARIANT
+                ($variant)(self)
             }
 
             fn config(&self) -> &ViTConfig {
-                TokenPolicy::backbone(self).config()
+                BlockDomain::config(TokenPolicy::backbone(self))
             }
 
             fn infer_one(&self, image: &Tensor, scratch: &mut PruneScratch) -> ModelOutput {
-                policy_output(self, image, scratch)
+                policy_output(self, image, &mut scratch.$compartment)
             }
 
             fn dense_macs(&self) -> u64 {
-                TokenPolicy::backbone(self).macs()
+                TokenPolicy::backbone(self).dense_raw_macs()
             }
 
             fn cost_profile(&self) -> CostProfile {
                 policy_profile(self)
             }
         }
+    };
+    ($compartment:ident: $($model:ty),+) => {$(
+        token_policy_models!($compartment: $model => |_| <$model>::VARIANT);
     )+};
 }
 
 token_policy_models!(
-    PrunedViT,
+    vit: PrunedViT,
     StaticPrunedViT,
     ClsAttnPrunedViT,
     TokenMergeViT,
     TopKPrunedViT
 );
+token_policy_models!(quant: QuantizedViT => QuantizedViT::variant_name);

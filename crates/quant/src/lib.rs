@@ -16,8 +16,9 @@
 //! * [`QuantizedViT`] — the whole backbone on the integer pipeline:
 //!   [`QLinear`] projections, int8 attention products, approximated
 //!   GELU/softmax, static-scale [`QuantizedViT::calibrate`] with dynamic
-//!   max-abs fallback, optional adaptive token pruning, and
-//!   packed-DSP-equivalent MAC accounting ([`DSP_PACKING_FACTOR`]);
+//!   max-abs fallback, optional adaptive token pruning through the shared
+//!   `heatvit_vit::TokenPolicy` loop, and packed-DSP-equivalent MAC
+//!   accounting ([`DSP_PACKING_FACTOR`]);
 //! * [`error`] — the Section V-E quantization-error-contraction analysis
 //!   (Eqs. 15–17, Fig. 10): machinery to verify that the regularized
 //!   nonlinearities keep error amplification below one.
@@ -49,5 +50,5 @@ pub use qgemm::{
     qmatmul_with, qpack_b, qpack_b_t, qpacked_len, QLinear, QMR, QNR,
 };
 pub use qtensor::{fake_quantize, QTensor, QuantParams};
-pub use qvit::{packed_macs, QuantInference, QuantPruneStage, QuantizedViT, DSP_PACKING_FACTOR};
+pub use qvit::{packed_macs, QuantPruneStage, QuantizedViT, DSP_PACKING_FACTOR};
 pub use scratch::QuantScratch;

@@ -14,11 +14,16 @@
 //! ranges from a held-out batch — the deployment mode, where no float
 //! reduction runs on the accelerator's datapath.
 //!
-//! MAC accounting is int8-aware: alongside the raw MAC count the model
-//! reports *packed-DSP-equivalent* MACs, raw divided by
-//! [`DSP_PACKING_FACTOR`] (~1.9×), because the FPGA packs two int8 MACs
-//! into one DSP slice (paper Section V-C) — the number the `heatvit-fpga`
-//! cycle model charges.
+//! The model is the int8 [`BlockDomain`] and its own [`TokenPolicy`]:
+//! inference, adaptive pruning and calibration all run the one loop in
+//! `heatvit-vit`, which embeds, repacks, appends the Eq. 10 package token and
+//! classifies the same way for every variant. This module supplies the int8
+//! blocks and the attention-threshold decision.
+//!
+//! MAC accounting is int8-aware: the domain charges *packed-DSP-equivalent*
+//! MACs, raw divided by [`DSP_PACKING_FACTOR`] (~1.9×), because the FPGA
+//! packs two int8 MACs into one DSP slice (paper Section V-C) — the number
+//! the `heatvit-fpga` cycle model charges.
 
 use crate::approx::{gelu_approx_inplace, softmax_approx_rows_inplace};
 use crate::qgemm::{qmatmul_transb_with, qmatmul_with, QLinear};
@@ -28,7 +33,8 @@ use heatvit_nn::layers::LayerNorm;
 use heatvit_tensor::Tensor;
 use heatvit_vit::flops::BlockComplexity;
 use heatvit_vit::{
-    image_to_patches_into, nominal_tokens, validate_stage_blocks, EncoderBlock, ViTConfig,
+    image_to_patches_into, nominal_tokens, package_tokens_into, validate_stage_blocks, BlockDomain,
+    EncoderBlock, PolicyScratch, PrunedInference, StageInput, StageScratch, TokenPolicy, ViTConfig,
     VisionTransformer,
 };
 
@@ -55,24 +61,11 @@ pub fn packed_macs(raw: u64) -> u64 {
 #[derive(Debug, Clone, Copy)]
 pub struct QuantPruneStage {
     /// Block index the stage precedes (must be ≥ 1: the rule consumes the
-    /// previous block's attention maps).
+    /// previous block's class-token attention).
     pub block: usize,
     /// Pruning threshold as a fraction of the mean class-token attention,
     /// in `(0, 1]`. Smaller values prune fewer tokens.
     pub attn_frac: f32,
-}
-
-/// Inference result of a [`QuantizedViT`].
-#[derive(Debug, Clone)]
-pub struct QuantInference {
-    /// Classification logits `[1, classes]`.
-    pub logits: Tensor,
-    /// Token count entering each block (class/package included).
-    pub tokens_per_block: Vec<usize>,
-    /// Raw MAC count at the actual per-block token counts.
-    pub raw_macs: u64,
-    /// Packed-DSP-equivalent MACs (`raw_macs / `[`DSP_PACKING_FACTOR`]).
-    pub macs: u64,
 }
 
 /// Running max-abs observer for one activation-quantization site.
@@ -105,7 +98,7 @@ struct BlockCalib {
 
 /// Whole-model calibration accumulators.
 #[derive(Debug, Clone)]
-struct ModelCalib {
+pub(crate) struct ModelCalib {
     patch_in: AbsMax,
     head_in: AbsMax,
     blocks: Vec<BlockCalib>,
@@ -178,18 +171,19 @@ impl QuantizedBlock {
         }
     }
 
-    /// One block forward on the integer pipeline, in place on
-    /// `scratch.tokens`. Leaves the block's mean class-token attention (per
-    /// patch token, averaged over heads) in `scratch.cls_attn` for the
-    /// adaptive pruning stages.
+    /// One block forward on the integer pipeline, in place on `tokens`.
+    /// Leaves the block's mean class-token attention (per patch token,
+    /// averaged over heads) in `scratch.cls_attn` for the adaptive pruning
+    /// stages.
     fn infer_with(
         &self,
         delta1: f32,
         delta2: f32,
+        tokens: &mut Tensor,
         scratch: &mut QuantScratch,
         mut calib: Option<&mut BlockCalib>,
     ) {
-        let n = scratch.tokens.dim(0);
+        let n = tokens.dim(0);
         let dim = self.num_heads * self.head_dim;
         // With calibrated activation scales (and no observer attached) the
         // layer norm fuses with quantization: normalized tiles are quantized
@@ -205,14 +199,14 @@ impl QuantizedBlock {
             debug_assert_eq!(Some(params), self.wv.activation_params());
             let fill = scratch.qa.start_fill(&[n, dim], params);
             self.ln1
-                .infer_tiles(&scratch.tokens, 8, &mut scratch.ln_tile, |_r0, _nr, t| {
+                .infer_tiles(tokens, 8, &mut scratch.ln_tile, |_r0, _nr, t| {
                     fill.extend(t.iter().map(|&v| params.quantize(v)));
                 });
             self.wq.infer_quantized_into(&scratch.qa, &mut scratch.q);
             self.wk.infer_quantized_into(&scratch.qa, &mut scratch.k);
             self.wv.infer_quantized_into(&scratch.qa, &mut scratch.v);
         } else {
-            self.ln1.infer_into(&scratch.tokens, &mut scratch.normed);
+            self.ln1.infer_into(tokens, &mut scratch.normed);
             if let Some(c) = calib.as_deref_mut() {
                 c.qkv_in.observe(&scratch.normed);
             }
@@ -290,7 +284,7 @@ impl QuantizedBlock {
         self.proj
             .infer_into(&scratch.heads, &mut scratch.qa, &mut scratch.attn_out);
         // First residual, in place: `attn_out` becomes `x₁ = attn_out + x`.
-        add_in_place(&mut scratch.attn_out, &scratch.tokens);
+        add_in_place(&mut scratch.attn_out, tokens);
         // Same fusion for the pre-FFN norm feeding fc1.
         let fc1_static = (calib.is_none())
             .then(|| self.fc1.activation_params())
@@ -320,8 +314,7 @@ impl QuantizedBlock {
         self.fc2
             .infer_into(&scratch.ffn_hidden, &mut scratch.qa, &mut scratch.ffn_out);
         // Second residual, into the token matrix: `ffn_out + x₁`.
-        for ((t, &f), &x1) in scratch
-            .tokens
+        for ((t, &f), &x1) in tokens
             .data_mut()
             .iter_mut()
             .zip(scratch.ffn_out.data())
@@ -375,7 +368,8 @@ struct QPatchEmbed {
 /// let out = qmodel.infer(&image);
 /// assert_eq!(out.logits.dims(), &[1, 4]);
 /// // Packed-DSP accounting charges ~1/1.9 of the raw int8 MACs.
-/// assert!(out.macs < out.raw_macs);
+/// use heatvit_vit::{BlockDomain, TokenPolicy};
+/// assert!(qmodel.macs_for_tokens(&out.tokens_per_block) < qmodel.dense_raw_macs());
 /// ```
 #[derive(Debug, Clone)]
 pub struct QuantizedViT {
@@ -458,11 +452,6 @@ impl QuantizedViT {
         self
     }
 
-    /// The backbone architecture configuration.
-    pub fn config(&self) -> &ViTConfig {
-        &self.config
-    }
-
     /// [`QuantizedViT::variant_name`] of a model with no pruning stages.
     pub const VARIANT_DENSE: &'static str = "int8-dense";
     /// [`QuantizedViT::variant_name`] of a model with pruning stages.
@@ -505,42 +494,6 @@ impl QuantizedViT {
         self.nominal_keep = keeps.to_vec();
     }
 
-    /// Expected token count entering each block under the declared nominal
-    /// stage keep ratios: kept patches + class token + package token once
-    /// pruning has begun (the int8 pruning stages always consolidate pruned
-    /// tokens into a package). Without a
-    /// [`QuantizedViT::set_nominal_keep`] declaration every stage is
-    /// treated as keeping all tokens — a conservative over-estimate.
-    pub fn expected_tokens_per_block(&self) -> Vec<usize> {
-        let n = self.config.num_patches();
-        let mut keep = 1.0f32;
-        let mut out = Vec::with_capacity(self.config.depth);
-        let mut stage_iter = self.stages.iter().zip(
-            self.nominal_keep
-                .iter()
-                .copied()
-                .chain(std::iter::repeat(1.0)),
-        );
-        let mut next = stage_iter.next();
-        for bi in 0..self.config.depth {
-            if let Some((stage, k)) = next {
-                if stage.block == bi {
-                    keep = k;
-                    next = stage_iter.next();
-                }
-            }
-            out.push(nominal_tokens(keep, n, true));
-        }
-        out
-    }
-
-    /// Packed-DSP-equivalent MAC count at an arbitrary per-block token
-    /// schedule — exactly the accounting [`QuantizedViT::infer`] reports
-    /// for an inference whose actual counts equal `tokens_per_block`.
-    pub fn packed_macs_for(&self, tokens_per_block: &[usize]) -> u64 {
-        packed_macs(self.raw_macs_for(tokens_per_block))
-    }
-
     /// Overrides the regularization factors `δ₁` (GELU) and `δ₂` (softmax).
     pub fn set_deltas(&mut self, delta1: f32, delta2: f32) {
         self.delta1 = delta1;
@@ -564,11 +517,12 @@ impl QuantizedViT {
     /// Panics if `images` is empty.
     pub fn calibrate(&mut self, images: &[Tensor]) {
         assert!(!images.is_empty(), "calibration needs at least one image");
-        let mut calib = ModelCalib::new(self.config.depth);
-        let mut scratch = QuantScratch::default();
+        let mut ws = PolicyScratch::<QuantScratch>::default();
+        ws.blocks.calib = Some(ModelCalib::new(self.config.depth));
         for image in images {
-            self.forward_internal(image, &mut scratch, Some(&mut calib));
+            self.run_with(image, &mut ws);
         }
+        let calib = ws.blocks.calib.expect("calibration accumulators");
         self.patch
             .proj
             .set_activation_params(calib.patch_in.params());
@@ -595,158 +549,137 @@ impl QuantizedViT {
         self.calibrated = false;
     }
 
-    /// Classifies one image through the integer pipeline.
-    pub fn infer(&self, image: &Tensor) -> QuantInference {
-        self.infer_with(image, &mut QuantScratch::default())
+    /// Classifies one image through the integer pipeline
+    /// ([`TokenPolicy::infer`], kept inherent so callers need not import the
+    /// trait).
+    pub fn infer(&self, image: &Tensor) -> PrunedInference {
+        TokenPolicy::infer(self, image)
     }
 
-    /// [`QuantizedViT::infer`] reusing a caller-provided scratch workspace.
-    ///
-    /// Bit-identical to the allocating path: activations, int8 staging
-    /// buffers, and repacking buffers all live in `scratch`, so a warmed-up
-    /// workspace keeps the integer hot path free of per-image allocation for
-    /// them — the same discipline as the float engine.
-    pub fn infer_with(&self, image: &Tensor, scratch: &mut QuantScratch) -> QuantInference {
-        self.forward_internal(image, scratch, None)
+    fn stage(&self, block: usize) -> Option<(usize, &QuantPruneStage)> {
+        self.stages
+            .iter()
+            .enumerate()
+            .find(|(_, s)| s.block == block)
+    }
+}
+
+/// The int8 datapath of the [`TokenPolicy`] loop: charged in
+/// packed-DSP-equivalent MACs.
+impl BlockDomain for QuantizedViT {
+    type Scratch = QuantScratch;
+
+    const QUANTIZED: bool = true;
+
+    fn config(&self) -> &ViTConfig {
+        &self.config
     }
 
-    /// Predicted class for one image.
-    pub fn predict(&self, image: &Tensor) -> usize {
-        self.infer(image).logits.argmax_rows()[0]
-    }
-
-    /// Raw MAC count with the full token count in every block — the
-    /// float-equivalent dense baseline int8 speedups are measured against
-    /// (deliberately *not* packed, so `dense / packed` exposes the ~1.9×
-    /// DSP-packing gain).
-    pub fn dense_macs(&self) -> u64 {
-        self.raw_macs_for(&vec![self.config.num_tokens(); self.config.depth])
-    }
-
-    fn raw_macs_for(&self, tokens_per_block: &[usize]) -> u64 {
-        let cfg = &self.config;
-        let patch = (cfg.num_patches() * cfg.patch_dim() * cfg.embed_dim) as u64;
-        let head = (cfg.embed_dim * cfg.num_classes) as u64;
-        patch
-            + head
-            + tokens_per_block
-                .iter()
-                .map(|&n| BlockComplexity::closed_form(cfg, n))
-                .sum::<u64>()
-    }
-
-    fn forward_internal(
-        &self,
-        image: &Tensor,
-        scratch: &mut QuantScratch,
-        mut calib: Option<&mut ModelCalib>,
-    ) -> QuantInference {
-        image_to_patches_into(image, self.patch.patch_size, &mut scratch.image_patches);
-        if let Some(m) = calib.as_deref_mut() {
-            m.patch_in.observe(&scratch.image_patches);
+    fn embed(&self, image: &Tensor, tokens: &mut Tensor, ws: &mut QuantScratch) {
+        image_to_patches_into(image, self.patch.patch_size, &mut ws.image_patches);
+        if let Some(c) = ws.calib.as_mut() {
+            c.patch_in.observe(&ws.image_patches);
         }
-        self.patch.proj.infer_into(
-            &scratch.image_patches,
-            &mut scratch.qa,
-            &mut scratch.embedded,
-        );
-        Tensor::concat_rows_into(
-            &[&self.patch.cls_token, &scratch.embedded],
-            &mut scratch.tokens,
-        );
-        add_in_place(&mut scratch.tokens, &self.patch.pos_embed);
-        let mut tokens_per_block = Vec::with_capacity(self.config.depth);
-        let mut stage_iter = self.stages.iter().peekable();
-        for (bi, block) in self.blocks.iter().enumerate() {
-            if let Some(stage) = stage_iter.peek() {
-                if stage.block == bi {
-                    self.prune_stage(stage.attn_frac, scratch);
-                    stage_iter.next();
-                }
-            }
-            tokens_per_block.push(scratch.tokens.dim(0));
-            let block_calib = calib.as_deref_mut().map(|m| &mut m.blocks[bi]);
-            block.infer_with(self.delta1, self.delta2, scratch, block_calib);
-        }
-        scratch.tokens.slice_rows_into(0, 1, &mut scratch.cls);
-        self.norm.infer_into(&scratch.cls, &mut scratch.normed);
-        if let Some(m) = calib {
-            m.head_in.observe(&scratch.normed);
+        self.patch
+            .proj
+            .infer_into(&ws.image_patches, &mut ws.qa, &mut ws.embedded);
+        Tensor::concat_rows_into(&[&self.patch.cls_token, &ws.embedded], tokens);
+        add_in_place(tokens, &self.patch.pos_embed);
+    }
+
+    fn run_block(&self, index: usize, tokens: &mut Tensor, ws: &mut QuantScratch) {
+        let mut calib = ws.calib.take();
+        let block_calib = calib.as_mut().map(|c| &mut c.blocks[index]);
+        self.blocks[index].infer_with(self.delta1, self.delta2, tokens, ws, block_calib);
+        ws.calib = calib;
+    }
+
+    fn cls_attention(ws: &QuantScratch) -> &[f32] {
+        &ws.cls_attn
+    }
+
+    fn classify(&self, cls: &Tensor, ws: &mut QuantScratch) -> Tensor {
+        self.norm.infer_into(cls, &mut ws.normed);
+        if let Some(c) = ws.calib.as_mut() {
+            c.head_in.observe(&ws.normed);
         }
         let mut logits = Tensor::default();
-        self.head
-            .infer_into(&scratch.normed, &mut scratch.qa, &mut logits);
-        let raw_macs = self.raw_macs_for(&tokens_per_block);
-        QuantInference {
-            logits,
-            tokens_per_block,
-            raw_macs,
-            macs: packed_macs(raw_macs),
+        self.head.infer_into(&ws.normed, &mut ws.qa, &mut logits);
+        logits
+    }
+
+    fn raw_macs(&self, tokens_per_block: impl IntoIterator<Item = usize>) -> u64 {
+        let cfg = &self.config;
+        let blocks = tokens_per_block.into_iter();
+        let blocks: u64 = blocks.map(|n| BlockComplexity::closed_form(cfg, n)).sum();
+        blocks
+            + (cfg.num_patches() * cfg.patch_dim() + cfg.num_classes) as u64 * cfg.embed_dim as u64
+    }
+
+    /// Raw MACs divided by [`DSP_PACKING_FACTOR`].
+    fn charged_macs(&self, raw: u64) -> u64 {
+        packed_macs(raw)
+    }
+}
+
+/// Attention-threshold pruning on the int8 datapath: each stage reads the
+/// class-token attention the previous block's approximated softmax left,
+/// and packages what it prunes (Eq. 10, weighted by that attention).
+impl TokenPolicy for QuantizedViT {
+    type Domain = Self;
+
+    fn backbone(&self) -> &Self {
+        self
+    }
+
+    fn has_stage(&self, block: usize) -> bool {
+        self.stage(block).is_some()
+    }
+
+    /// Keeps the patches whose attention reaches `attn_frac ×` the row
+    /// mean, and at least the most-attended one; `ws.order` receives the
+    /// pruned rows.
+    fn select(&self, stage: &StageInput<'_>, ws: &mut StageScratch) {
+        let attn = stage.cls_attn.expect("int8 stages follow a block");
+        let (_, rule) = self.stage(stage.index).expect("stage exists");
+        let mean = attn.iter().sum::<f32>() / attn.len().max(1) as f32;
+        let threshold = rule.attn_frac * mean;
+        // Whenever any patch reaches the threshold the most-attended one
+        // does, so keeping it always only matters when none would survive.
+        let best = (0..attn.len()).max_by(|&a, &b| attn[a].total_cmp(&attn[b]));
+        ws.kept.clear();
+        ws.order.clear();
+        for (i, &a) in attn.iter().enumerate() {
+            if a >= threshold || Some(i) == best {
+                ws.kept.push(i);
+            } else {
+                ws.order.push(i);
+            }
         }
     }
 
-    /// Prunes patch tokens whose mean class-token attention (left in
-    /// `scratch.cls_attn` by the previous block) falls below
-    /// `frac × mean attention`, consolidating them into one
-    /// attention-weighted package token (the Eq. 10 flow on int8 attention).
-    fn prune_stage(&self, frac: f32, scratch: &mut QuantScratch) {
-        let n = scratch.tokens.dim(0);
-        let n_patches = n - 1;
-        debug_assert_eq!(scratch.cls_attn.len(), n_patches);
-        let mean = scratch.cls_attn.iter().sum::<f32>() / n_patches.max(1) as f32;
-        let thresh = frac * mean;
-        scratch.kept.clear();
-        scratch.pruned.clear();
-        for (i, &a) in scratch.cls_attn.iter().enumerate() {
-            if a >= thresh {
-                scratch.kept.push(i);
-            } else {
-                scratch.pruned.push(i);
-            }
-        }
-        if scratch.pruned.is_empty() {
-            return;
-        }
-        if scratch.kept.is_empty() {
-            // Never prune everything: keep the single most-attended token.
-            let best = scratch
-                .pruned
-                .iter()
-                .copied()
-                .max_by(|&a, &b| scratch.cls_attn[a].total_cmp(&scratch.cls_attn[b]))
-                .expect("at least one patch token");
-            scratch.kept.push(best);
-            scratch.pruned.retain(|&i| i != best);
-        }
-        scratch.tokens.slice_rows_into(1, n, &mut scratch.patches);
-        scratch.tokens.slice_rows_into(0, 1, &mut scratch.cls);
-        scratch
-            .patches
-            .gather_rows_into(&scratch.kept, &mut scratch.kept_rows);
-        // Attention-weighted package token over the pruned rows — the same
-        // Eq. 10 consolidation as `heatvit_selector::packager::package_tokens`
-        // (weights and zero-sum fallback must stay in sync with it); it
-        // cannot be called from here because `heatvit-selector` depends on
-        // this crate for the engine's shared scratch.
-        let d = scratch.tokens.dim(1);
-        scratch.package.reset_zeroed(&[1, d]);
-        let wsum: f32 = scratch.pruned.iter().map(|&i| scratch.cls_attn[i]).sum();
-        for &i in &scratch.pruned {
-            let w = if wsum > 1e-12 {
-                scratch.cls_attn[i] / wsum
-            } else {
-                1.0 / scratch.pruned.len() as f32
-            };
-            let package = scratch.package.data_mut().iter_mut();
-            for (p, &x) in package.zip(scratch.patches.row(i)) {
-                *p += w * x;
-            }
-        }
-        Tensor::concat_rows_into(
-            &[&scratch.cls, &scratch.kept_rows, &scratch.package],
-            &mut scratch.repacked,
-        );
-        std::mem::swap(&mut scratch.tokens, &mut scratch.repacked);
+    fn consolidate(
+        &self,
+        stage: &StageInput<'_>,
+        _kept_rows: &mut Tensor,
+        ws: &mut StageScratch,
+    ) -> bool {
+        let attn = stage.cls_attn.expect("int8 stages follow a block");
+        package_tokens_into(stage.patches, &ws.order, attn, &mut ws.package)
+    }
+
+    /// The declared nominal keep of the stage, and without a
+    /// [`QuantizedViT::set_nominal_keep`] declaration every token — a
+    /// conservative over-estimate. The package token counts once pruning
+    /// has begun.
+    fn stage_tokens(&self, block: usize, _tokens: usize) -> usize {
+        let (i, _) = self.stage(block).expect("stage exists");
+        let keep = self.nominal_keep.get(i).copied().unwrap_or(1.0);
+        nominal_tokens(keep, self.config.num_patches(), true)
+    }
+
+    fn plan_is_exact(&self) -> bool {
+        self.stages.is_empty()
     }
 }
 
@@ -782,7 +715,7 @@ mod tests {
     fn scratch_reuse_is_bit_identical() {
         let (_, qmodel, mut rng) = float_and_quant(1);
         let imgs: Vec<Tensor> = (0..3).map(|_| image(&mut rng)).collect();
-        let mut scratch = QuantScratch::default();
+        let mut scratch = PolicyScratch::default();
         for img in &imgs {
             let warm = qmodel.infer_with(img, &mut scratch);
             let fresh = qmodel.infer(img);
@@ -824,7 +757,7 @@ mod tests {
     #[test]
     fn adaptive_stages_shrink_tokens_and_macs() {
         let (_, qmodel, mut rng) = float_and_quant(4);
-        let dense_packed = packed_macs(qmodel.dense_macs());
+        let dense_packed = packed_macs(qmodel.dense_raw_macs());
         let qmodel = qmodel.with_prune_stages(vec![
             QuantPruneStage {
                 block: 2,
@@ -845,7 +778,7 @@ mod tests {
         assert!(out.tokens_per_block[2] <= 18);
         assert!(out.tokens_per_block[4] <= out.tokens_per_block[2] + 1);
         if out.tokens_per_block[2] < 17 {
-            assert!(out.macs < dense_packed);
+            assert!(qmodel.macs_for_tokens(&out.tokens_per_block) < dense_packed);
         }
         assert!(out.logits.data().iter().all(|v| v.is_finite()));
     }
@@ -868,11 +801,8 @@ mod tests {
 
         // Fused path: run the block and inspect the staged Q projection
         // (scratch.q is written once, straight off the fused quantize).
-        let mut scratch = QuantScratch {
-            tokens: x,
-            ..QuantScratch::default()
-        };
-        block.infer_with(1.0, 1.0, &mut scratch, None);
+        let (mut tokens, mut scratch) = (x, QuantScratch::default());
+        block.infer_with(1.0, 1.0, &mut tokens, &mut scratch, None);
         assert_eq!(scratch.q.data(), want.data());
     }
 
@@ -880,19 +810,21 @@ mod tests {
     fn packed_macs_apply_the_dsp_factor() {
         let (_, qmodel, mut rng) = float_and_quant(5);
         let out = qmodel.infer(&image(&mut rng));
-        let expect = (out.raw_macs as f64 / DSP_PACKING_FACTOR).round() as u64;
-        assert_eq!(out.macs, expect);
+        let raw = qmodel.raw_macs(out.tokens_per_block.iter().copied());
+        let macs = qmodel.macs_for_tokens(&out.tokens_per_block);
+        let expect = (raw as f64 / DSP_PACKING_FACTOR).round() as u64;
+        assert_eq!(macs, expect);
         // Dense int8 raw MACs equal the float dense baseline, so the packed
         // speedup is exactly the DSP factor.
-        assert_eq!(out.raw_macs, qmodel.dense_macs());
-        let speedup = qmodel.dense_macs() as f64 / out.macs as f64;
+        assert_eq!(raw, qmodel.dense_raw_macs());
+        let speedup = qmodel.dense_raw_macs() as f64 / macs as f64;
         assert!((speedup - DSP_PACKING_FACTOR).abs() < 1e-3);
     }
 
     #[test]
     fn raw_macs_match_the_float_models_accounting() {
         let (model, qmodel, _) = float_and_quant(6);
-        assert_eq!(qmodel.dense_macs(), model.macs());
+        assert_eq!(qmodel.dense_raw_macs(), model.macs());
     }
 
     #[test]

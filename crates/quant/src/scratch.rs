@@ -2,22 +2,21 @@
 //!
 //! [`QuantScratch`] is the integer-pipeline counterpart of `heatvit-vit`'s
 //! `InferScratch`: it owns every intermediate the quantized blocks touch —
-//! float activation buffers, int8 staging buffers for activation
-//! quantization, and the token-repacking buffers of the adaptive pruning
-//! stages — so a batched engine allocates them once per batch instead of
-//! once per image. Like the float scratch it is deliberately cheap to
-//! construct, and the scratch and non-scratch paths execute identical
-//! arithmetic (bit-identical results).
+//! float activation buffers and int8 staging buffers for activation
+//! quantization — so a batched engine allocates them once per batch instead
+//! of once per image. The token matrix and the pruning stages' repack
+//! buffers are the `TokenPolicy` loop's (`heatvit_vit::PolicyScratch`). Like
+//! the float scratch it is deliberately cheap to construct, and the scratch
+//! and non-scratch paths execute identical arithmetic (bit-identical
+//! results).
 
 use crate::qtensor::QTensor;
+use crate::qvit::ModelCalib;
 use heatvit_tensor::Tensor;
 
 /// Workspace for the [`crate::QuantizedViT`] hot path.
 #[derive(Debug, Clone, Default)]
 pub struct QuantScratch {
-    /// The token matrix `[N, D]` the blocks and pruning stages update in
-    /// place.
-    pub(crate) tokens: Tensor,
     /// Flattened image patches `[N-1, P²·C]` entering the embedding.
     pub(crate) image_patches: Tensor,
     /// Embedded patches `[N-1, D]` before the class token joins them.
@@ -52,27 +51,17 @@ pub struct QuantScratch {
     pub(crate) qa: QTensor,
     /// Int8 staging buffer for the right GEMM operand.
     pub(crate) qb: QTensor,
-    /// Class-token row `[1, D]` (pruning stages and the classifier head).
-    pub(crate) cls: Tensor,
-    /// Patch-token rows `[N-1, D]` (pruning stages).
-    pub(crate) patches: Tensor,
-    /// Gathered informative rows `[K, D]`.
-    pub(crate) kept_rows: Tensor,
-    /// A pruning stage's package token `[1, D]`.
-    pub(crate) package: Tensor,
-    /// The repacked token matrix handed to the next block.
-    pub(crate) repacked: Tensor,
-    /// Indices of kept patch tokens.
-    pub(crate) kept: Vec<usize>,
-    /// Indices of pruned patch tokens.
-    pub(crate) pruned: Vec<usize>,
-    /// Mean class-token attention per patch token from the previous block.
+    /// The last block's class-token attention per patch token, averaged
+    /// over heads.
     pub(crate) cls_attn: Vec<f32>,
     /// Packed panels of the per-head `K`/`V` operands (weights are packed
     /// once, inside their `QLinear`).
     pub(crate) pack: Vec<i8>,
     /// Staging buffer for fused layer-norm + quantize tiles.
     pub(crate) ln_tile: Vec<f32>,
+    /// Per-site max-abs accumulators while [`crate::QuantizedViT::calibrate`]
+    /// runs images through the loop.
+    pub(crate) calib: Option<ModelCalib>,
 }
 
 // Each engine worker thread owns one scratch (inside its `PruneScratch`); a

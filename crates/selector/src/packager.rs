@@ -10,11 +10,19 @@
 //! so later blocks can still recover information from mistakenly pruned
 //! tokens. The packaged token is concatenated with the informative ones to
 //! keep every downstream GEMM dense (no sparse indexing on hardware).
+//!
+//! The inference arithmetic lives in `heatvit-vit`
+//! ([`heatvit_vit::package_tokens_into`]), where every token policy of
+//! either datapath calls it; this module adds the allocating form and the
+//! differentiable training form.
 
 use heatvit_nn::{Tape, Var};
 use heatvit_tensor::Tensor;
+use heatvit_vit::package_tokens_into;
 
-/// Weighted-average package token from pruned rows (inference path).
+/// Weighted-average package token from pruned rows (inference path): the
+/// allocating form of [`package_tokens_into`], with every row of `pruned`
+/// packaged.
 ///
 /// `pruned` is `[T, D]`, `keep_scores` the corresponding `s̃ₜ[0]` values.
 /// Returns `None` when `T == 0` (nothing was pruned, no token to append).
@@ -28,24 +36,9 @@ pub fn package_tokens(pruned: &Tensor, keep_scores: &[f32]) -> Option<Tensor> {
         keep_scores.len(),
         "one keep score per pruned token required"
     );
-    if pruned.dim(0) == 0 {
-        return None;
-    }
-    let total: f32 = keep_scores.iter().sum();
-    let weights: Vec<f32> = if total <= 1e-12 {
-        // All scores ~0: fall back to a plain average.
-        vec![1.0 / keep_scores.len() as f32; keep_scores.len()]
-    } else {
-        keep_scores.iter().map(|&s| s / total).collect()
-    };
-    let weighted = pruned.scale_rows(&weights);
-    let cols = weighted.dim(1);
-    Some(
-        weighted
-            .mean_cols()
-            .scale(pruned.dim(0) as f32)
-            .reshape(&[1, cols]),
-    )
+    let rows: Vec<usize> = (0..pruned.dim(0)).collect();
+    let mut token = Tensor::default();
+    package_tokens_into(pruned, &rows, keep_scores, &mut token).then_some(token)
 }
 
 /// Differentiable package token (training path).

@@ -8,12 +8,13 @@
 //! [`TokenPolicy`] one; this module supplies the selector decision and the
 //! package token, plus the differentiable training forward.
 
-use crate::packager::{package_tokens, package_tokens_tape};
+use crate::packager::package_tokens_tape;
 use crate::selector::{InferDecision, TokenSelector, TrainDecision};
 use heatvit_nn::{Module, Param, Tape, Var};
 use heatvit_tensor::Tensor;
 use heatvit_vit::{
-    nominal_tokens, PrunedInference, StageInput, StageScratch, TokenPolicy, VisionTransformer,
+    nominal_tokens, package_tokens_into, PrunedInference, StageInput, StageScratch, TokenPolicy,
+    VisionTransformer,
 };
 use rand::Rng;
 
@@ -236,6 +237,8 @@ impl PrunedViT {
 }
 
 impl TokenPolicy for PrunedViT {
+    type Domain = VisionTransformer;
+
     fn backbone(&self) -> &VisionTransformer {
         &self.backbone
     }
@@ -267,17 +270,12 @@ impl TokenPolicy for PrunedViT {
     /// packager is disabled.
     fn consolidate(
         &self,
-        patches: &Tensor,
+        stage: &StageInput<'_>,
         _kept_rows: &mut Tensor,
         ws: &mut StageScratch,
-    ) -> Option<Tensor> {
-        if !self.package_enabled {
-            return None;
-        }
-        patches.gather_rows_into(&ws.order, &mut ws.rows);
-        ws.weights.clear();
-        ws.weights.extend(ws.order.iter().map(|&i| ws.scores[i]));
-        package_tokens(&ws.rows, &ws.weights)
+    ) -> bool {
+        self.package_enabled
+            && package_tokens_into(stage.patches, &ws.order, &ws.scores, &mut ws.package)
     }
 
     /// The declared nominal keep of `block` (the selectors decide per

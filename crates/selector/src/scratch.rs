@@ -1,13 +1,13 @@
 //! The engine's per-worker workspace.
 //!
-//! Every f32 variant — dense or pruned by any [`heatvit_vit::TokenPolicy`] —
-//! runs in one [`InferScratch`]: the backbone's activation buffers, the
-//! dense repack between blocks, and the stages' scoring and consolidation
-//! buffers. The int8 pipeline keeps its own [`QuantScratch`]. A batched
-//! engine allocates both once per worker instead of once per image.
+//! Every variant runs in one [`PolicyScratch`] per datapath: the blocks'
+//! activation buffers ([`InferScratch`] for f32, [`QuantScratch`] for int8)
+//! inside the [`heatvit_vit::TokenPolicy`] loop's token matrix, dense repack
+//! and stage buffers. The dense f32 backbone uses only the blocks' part. A
+//! batched engine allocates both once per worker instead of once per image.
 
 use heatvit_quant::QuantScratch;
-use heatvit_vit::InferScratch;
+use heatvit_vit::{InferScratch, PolicyScratch};
 
 /// Workspace for one image at a time through any workspace model.
 ///
@@ -17,9 +17,9 @@ use heatvit_vit::InferScratch;
 #[derive(Debug, Clone, Default)]
 pub struct PruneScratch {
     /// Buffers of the f32 models: blocks, repack and token-policy stages.
-    pub vit: InferScratch,
-    /// Buffers of the int8 pipeline (`heatvit-quant`).
-    pub quant: QuantScratch,
+    pub vit: PolicyScratch<InferScratch>,
+    /// Buffers of the int8 models: blocks, repack and token-policy stages.
+    pub quant: PolicyScratch<QuantScratch>,
 }
 
 // Each engine worker thread owns one scratch; a future non-`Send` field must

@@ -78,6 +78,8 @@ impl StaticPrunedViT {
 }
 
 impl TokenPolicy for StaticPrunedViT {
+    type Domain = VisionTransformer;
+
     fn backbone(&self) -> &VisionTransformer {
         &self.backbone
     }
@@ -92,12 +94,9 @@ impl TokenPolicy for StaticPrunedViT {
         let patches = stage.patches;
         let n = patches.dim(0);
         ws.scores.clear();
-        match (self.rule, stage.maps) {
+        match (self.rule, stage.cls_attn) {
             // Class-token attention to each patch, averaged over heads.
-            (StaticRule::CliffAttention, Some(maps)) => ws.scores.extend(
-                (1..=n)
-                    .map(|j| maps.iter().map(|m| m.at(&[0, j])).sum::<f32>() / maps.len() as f32),
-            ),
+            (StaticRule::CliffAttention, Some(attn)) => ws.scores.extend_from_slice(attn),
             // One seeded stream per image: replay the earlier stages'
             // shuffles (their sizes are fixed by the schedule), then rank
             // by position in this stage's shuffle.

@@ -42,6 +42,8 @@ impl ClsAttnPrunedViT {
 }
 
 impl TokenPolicy for ClsAttnPrunedViT {
+    type Domain = VisionTransformer;
+
     fn backbone(&self) -> &VisionTransformer {
         &self.backbone
     }
@@ -55,7 +57,8 @@ impl TokenPolicy for ClsAttnPrunedViT {
             .stage(stage.index)
             .expect("stage exists")
             .keep(stage.patches.dim(0));
-        scoring::select(stage, keep, false, ws);
+        let block = &self.backbone.blocks()[stage.index];
+        scoring::select(block, stage, keep, false, ws);
     }
 
     /// Exact: the keep arithmetic is input-agnostic.

@@ -41,6 +41,8 @@ impl TokenMergeViT {
 }
 
 impl TokenPolicy for TokenMergeViT {
+    type Domain = VisionTransformer;
+
     fn backbone(&self) -> &VisionTransformer {
         self.drop.backbone()
     }
@@ -55,12 +57,12 @@ impl TokenPolicy for TokenMergeViT {
 
     fn consolidate(
         &self,
-        patches: &Tensor,
+        stage: &StageInput<'_>,
         kept_rows: &mut Tensor,
         ws: &mut StageScratch,
-    ) -> Option<Tensor> {
-        scoring::fold_into_nearest(patches, kept_rows, ws);
-        None
+    ) -> bool {
+        scoring::fold_into_nearest(stage.patches, kept_rows, ws);
+        false
     }
 
     /// The hard drop's: mergence changes token *content*, never token

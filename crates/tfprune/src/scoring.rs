@@ -11,19 +11,20 @@
 use heatvit_tensor::Tensor;
 use heatvit_vit::{select_top, EncoderBlock, StageInput, StageScratch};
 
-/// Ranks the stage's patches by CLS attention (plus the value-norm share
-/// when `with_values`) and keeps the top `keep`: `ws.scores` holds every
-/// token's score (index 0 the class token's), `ws.order` the patches in
-/// descending score order.
+/// Ranks the stage's patches by CLS attention in `block`, the block the
+/// stage precedes (plus the value-norm share when `with_values`), and keeps
+/// the top `keep`: `ws.scores` holds every token's score (index 0 the class
+/// token's), `ws.order` the patches in descending score order.
 pub(crate) fn select(
+    block: &EncoderBlock,
     stage: &StageInput<'_>,
     keep: usize,
     with_values: bool,
     ws: &mut StageScratch,
 ) {
-    cls_attention_scores(stage.block, stage.tokens, ws);
+    cls_attention_scores(block, stage.tokens, ws);
     if with_values {
-        add_value_norm_scores(stage.block, ws);
+        add_value_norm_scores(block, ws);
     }
     select_top(keep, &ws.scores[1..], &mut ws.order, &mut ws.kept);
 }

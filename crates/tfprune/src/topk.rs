@@ -59,6 +59,8 @@ impl TopKPrunedViT {
 }
 
 impl TokenPolicy for TopKPrunedViT {
+    type Domain = VisionTransformer;
+
     fn backbone(&self) -> &VisionTransformer {
         &self.backbone
     }
@@ -69,7 +71,8 @@ impl TokenPolicy for TopKPrunedViT {
 
     fn select(&self, stage: &StageInput<'_>, ws: &mut StageScratch) {
         let keep = self.keep(stage.index, stage.patches.dim(0));
-        scoring::select(stage, keep, true, ws);
+        let block = &self.backbone.blocks()[stage.index];
+        scoring::select(block, stage, keep, true, ws);
     }
 
     /// Exact: the keep counts are literal.

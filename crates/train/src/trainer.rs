@@ -11,7 +11,7 @@ use heatvit_data::{Loader, SyntheticDataset};
 use heatvit_nn::optim::{AdamW, CosineSchedule, Optimizer};
 use heatvit_nn::{Module, Tape};
 use heatvit_selector::PrunedViT;
-use heatvit_vit::{InferScratch, TokenPolicy, VisionTransformer};
+use heatvit_vit::{InferScratch, PolicyScratch, TokenPolicy, VisionTransformer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -330,7 +330,7 @@ impl Trainer {
         sums: &EpochSums,
     ) -> TrainReport {
         let selectors = model.selector_blocks().len();
-        let mut scratch = InferScratch::default();
+        let mut scratch = PolicyScratch::default();
         let mut correct = 0usize;
         let mut keep_sums = vec![0.0f64; selectors];
         let mut final_tokens = 0.0f64;

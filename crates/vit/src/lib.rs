@@ -7,7 +7,8 @@
 //! ([`VisionTransformer`] with both a differentiable `forward` and a
 //! tape-free `infer` path), the one token-pruning loop every pruned variant
 //! runs ([`TokenPolicy`]: a policy decides between blocks, the loop repacks
-//! the survivors densely and accounts for the cost), the Table II
+//! the survivors densely and accounts for the cost, over the f32 or int8
+//! [`BlockDomain`]), the Table II
 //! complexity model ([`flops::ModelComplexity`]), representation analysis
 //! backing the paper's motivating observations ([`analysis`]: CKA curves and
 //! per-head receptive fields), and binary weight checkpointing
@@ -51,7 +52,7 @@ pub use config::ViTConfig;
 pub use model::{InferenceTrace, VisionTransformer};
 pub use patch_embed::{image_to_patches, image_to_patches_into, PatchEmbed};
 pub use policy::{
-    nominal_tokens, select_top, validate_stage_blocks, PrunedInference, RatioStage, StageInput,
-    TokenPolicy,
+    nominal_tokens, package_tokens_into, select_top, validate_stage_blocks, BlockDomain,
+    PolicyWorkspace, PrunedInference, RatioStage, StageInput, TokenPolicy,
 };
-pub use scratch::{AttnScratch, InferScratch, StageScratch};
+pub use scratch::{AttnScratch, InferScratch, PolicyScratch, StageScratch};

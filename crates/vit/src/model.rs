@@ -3,6 +3,7 @@
 use crate::attention::AttentionMaps;
 use crate::block::EncoderBlock;
 use crate::patch_embed::PatchEmbed;
+use crate::policy::BlockDomain;
 use crate::scratch::InferScratch;
 use crate::ViTConfig;
 use heatvit_nn::layers::{LayerNorm, Linear};
@@ -189,10 +190,48 @@ impl VisionTransformer {
     /// Total multiply–accumulate count for one image with the full token
     /// count in every block.
     pub fn macs(&self) -> u64 {
-        let n = self.config.num_tokens();
-        self.patch_embed.macs()
-            + self.blocks.iter().map(|b| b.macs(n)).sum::<u64>()
-            + self.head.macs(1)
+        self.dense_raw_macs()
+    }
+}
+
+/// The f32 datapath of the [`crate::TokenPolicy`] loop.
+impl BlockDomain for VisionTransformer {
+    type Scratch = InferScratch;
+
+    fn config(&self) -> &ViTConfig {
+        &self.config
+    }
+
+    fn embed(&self, image: &Tensor, tokens: &mut Tensor, _ws: &mut InferScratch) {
+        *tokens = self.patch_embed.infer(image);
+    }
+
+    fn run_block(&self, index: usize, tokens: &mut Tensor, ws: &mut InferScratch) {
+        let (out, maps) = self.blocks[index].infer_with(tokens, None, ws);
+        *tokens = out;
+        ws.cls_attn.clear();
+        ws.cls_attn.resize(tokens.dim(0) - 1, 0.0);
+        for map in &maps {
+            for (a, &p) in ws.cls_attn.iter_mut().zip(&map.row(0)[1..]) {
+                *a += p;
+            }
+        }
+        for a in &mut ws.cls_attn {
+            *a /= maps.len() as f32;
+        }
+    }
+
+    fn cls_attention(ws: &InferScratch) -> &[f32] {
+        &ws.cls_attn
+    }
+
+    fn classify(&self, cls: &Tensor, _ws: &mut InferScratch) -> Tensor {
+        self.head.infer(&self.norm.infer(cls))
+    }
+
+    fn raw_macs(&self, tokens_per_block: impl IntoIterator<Item = usize>) -> u64 {
+        let blocks = self.blocks.iter().zip(tokens_per_block);
+        self.patch_embed.macs() + blocks.map(|(b, n)| b.macs(n)).sum::<u64>() + self.head.macs(1)
     }
 }
 

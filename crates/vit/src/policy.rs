@@ -1,37 +1,80 @@
-//! One pruning loop for every token policy.
+//! One pruning loop for every token policy, on either datapath.
 //!
 //! HeatViT's token-selection flow (paper Fig. 9) is the same step between
 //! blocks whatever decides it: score the tokens, repack the survivors into a
 //! smaller dense matrix (class token first), and optionally append one token
-//! that consolidates the pruned ones. A [`TokenPolicy`] supplies only the
-//! decision — which patches survive, what (if anything) the pruned ones fold
-//! into, how many tokens it plans for, and what its scoring costs — and
-//! [`TokenPolicy::infer_with`] runs patch embedding → \[stage → dense
-//! repack\] → block → … → head for all of them, tracking where every row
-//! came from.
+//! that consolidates the pruned ones. A [`BlockDomain`] runs the blocks — the
+//! f32 [`crate::VisionTransformer`] or the int8 backbone — and a [`TokenPolicy`]
+//! supplies only the decision: which patches survive, what (if anything)
+//! the pruned ones fold into, how many tokens it plans for, and what its
+//! scoring costs. [`TokenPolicy::infer_with`] runs patch embedding →
+//! \[stage → dense repack\] → block → … → head for all of them, tracking
+//! where every row came from.
 
-use crate::attention::AttentionMaps;
-use crate::block::EncoderBlock;
-use crate::model::VisionTransformer;
-use crate::scratch::{InferScratch, StageScratch};
+use crate::config::ViTConfig;
+use crate::scratch::{PolicyScratch, StageScratch};
 use heatvit_tensor::Tensor;
+
+/// The blocks a [`TokenPolicy`] runs between: how one datapath embeds an
+/// image, runs an encoder block, classifies and counts its MACs.
+pub trait BlockDomain: Send + Sync {
+    /// The buffers the blocks run in.
+    type Scratch: Default + Send;
+
+    /// Whether the blocks run the int8 datapath.
+    const QUANTIZED: bool = false;
+
+    /// The backbone architecture configuration.
+    fn config(&self) -> &ViTConfig;
+
+    /// Embeds `image` into `tokens` `[1 + N, D]`, class token first.
+    fn embed(&self, image: &Tensor, tokens: &mut Tensor, ws: &mut Self::Scratch);
+
+    /// Runs block `index` on `tokens` in place, leaving in `ws` the block's
+    /// class-token attention to each patch row, summed over heads in head
+    /// order and then divided by the head count.
+    fn run_block(&self, index: usize, tokens: &mut Tensor, ws: &mut Self::Scratch);
+
+    /// The row the last [`BlockDomain::run_block`] left in `ws`.
+    fn cls_attention(ws: &Self::Scratch) -> &[f32];
+
+    /// Logits `[1, classes]` of the final class-token row `cls` `[1, D]`.
+    fn classify(&self, cls: &Tensor, ws: &mut Self::Scratch) -> Tensor;
+
+    /// Raw multiply–accumulates of one inference: the embedding, the head,
+    /// and each block at its token count.
+    fn raw_macs(&self, tokens_per_block: impl IntoIterator<Item = usize>) -> u64;
+
+    /// The MACs an inference of `raw` raw MACs is charged: the raw count,
+    /// unless the datapath packs several MACs per multiplier.
+    fn charged_macs(&self, raw: u64) -> u64 {
+        raw
+    }
+
+    /// [`BlockDomain::raw_macs`] with the full token count in every block.
+    fn dense_raw_macs(&self) -> u64 {
+        let config = self.config();
+        self.raw_macs(std::iter::repeat_n(config.num_tokens(), config.depth))
+    }
+}
+
+/// The workspace a policy's loop runs in: the loop's buffers around its
+/// domain's.
+pub type PolicyWorkspace<P> = PolicyScratch<<<P as TokenPolicy>::Domain as BlockDomain>::Scratch>;
 
 /// What a stage sees in front of block `index`.
 #[derive(Debug, Clone, Copy)]
 pub struct StageInput<'a> {
     /// Index of the block the stage precedes.
     pub index: usize,
-    /// The block the stage precedes (its projections are the upcoming
-    /// attention's).
-    pub block: &'a EncoderBlock,
     /// The current token matrix `[1 + N, D]`, class token first.
     pub tokens: &'a Tensor,
     /// Its patch rows `[N, D]` (every row after the class token, an earlier
     /// stage's appended token included).
     pub patches: &'a Tensor,
-    /// The previous block's attention maps, lent for this stage (`None` in
-    /// front of block 0).
-    pub maps: Option<&'a AttentionMaps>,
+    /// The previous block's class-token attention to each row of `patches`,
+    /// averaged over heads (`None` in front of block 0).
+    pub cls_attn: Option<&'a [f32]>,
 }
 
 /// Inference result of a token-pruned ViT.
@@ -54,14 +97,18 @@ pub struct PrunedInference {
 ///
 /// Implementors say where their stages sit and what each one keeps; the
 /// provided methods run the shared loop and account for its cost, so every
-/// policy repacks, counts and charges its tokens the same way.
+/// policy repacks, counts and charges its tokens the same way, in f32 or
+/// int8 alike.
 ///
 /// `Send + Sync` because serving worker pools share and move models across
 /// threads: a field that is neither fails to build at the policy's own impl,
 /// not at a distant spawn site.
 pub trait TokenPolicy: Send + Sync {
+    /// The datapath the blocks run on.
+    type Domain: BlockDomain;
+
     /// The backbone the stages run between.
-    fn backbone(&self) -> &VisionTransformer;
+    fn backbone(&self) -> &Self::Domain;
 
     /// Whether a stage runs in front of block `block`.
     fn has_stage(&self, block: usize) -> bool;
@@ -72,16 +119,16 @@ pub trait TokenPolicy: Send + Sync {
     fn select(&self, stage: &StageInput<'_>, ws: &mut StageScratch);
 
     /// Folds the pruned patches into the survivors once the loop has
-    /// gathered the kept rows into `kept_rows` (rows of `patches` listed in
-    /// `ws.kept`), and returns a `[1, D]` token to append after them, if the
-    /// policy consolidates that way. The default drops them.
+    /// gathered the kept rows into `kept_rows` (rows of `stage.patches`
+    /// listed in `ws.kept`). Returns `true` if it wrote a `[1, D]` token to
+    /// `ws.package` to append after them. The default drops them.
     fn consolidate(
         &self,
-        _patches: &Tensor,
+        _stage: &StageInput<'_>,
         _kept_rows: &mut Tensor,
         _ws: &mut StageScratch,
-    ) -> Option<Tensor> {
-        None
+    ) -> bool {
+        false
     }
 
     /// Tokens leaving the stage in front of `block` when `tokens` enter it
@@ -95,81 +142,90 @@ pub trait TokenPolicy: Send + Sync {
         true
     }
 
-    /// Multiply–accumulates the stage in front of `block` spends on top of
-    /// the blocks, given the tokens entering and leaving it.
+    /// Raw multiply–accumulates the stage in front of `block` spends on top
+    /// of the blocks, given the tokens entering and leaving it.
     fn stage_macs(&self, _block: usize, _tokens_in: usize, _tokens_out: usize) -> u64 {
         0
     }
 
     /// Inference with dense token repacking.
     fn infer(&self, image: &Tensor) -> PrunedInference {
-        self.infer_with(image, &mut InferScratch::default())
+        self.infer_with(image, &mut PolicyScratch::default())
     }
 
     /// [`TokenPolicy::infer`] reusing a caller-provided workspace for the
     /// blocks, the repack and the stages' own buffers; bit-identical to the
     /// fresh-workspace path — the software mirror of the accelerator's
     /// token-selection pipeline writing into fixed on-chip buffers.
-    fn infer_with(&self, image: &Tensor, ws: &mut InferScratch) -> PrunedInference {
-        let backbone = self.backbone();
-        let mut tokens = backbone.patch_embed().infer(image);
+    fn infer_with(&self, image: &Tensor, ws: &mut PolicyWorkspace<Self>) -> PrunedInference {
+        let (logits, tokens_per_block) = self.run_with(image, ws);
+        PrunedInference {
+            logits,
+            tokens_per_block,
+            keep_fractions: ws.keep_fractions.clone(),
+            surviving_patches: ws.surviving[..ws.keep_fractions.len()].to_vec(),
+        }
+    }
+
+    /// The loop itself: the logits and the token count entering each block.
+    /// What each stage kept stays in `ws`, so a warm workspace adds no heap
+    /// request for it; [`TokenPolicy::infer_with`] copies it out.
+    fn run_with(&self, image: &Tensor, ws: &mut PolicyWorkspace<Self>) -> (Tensor, Vec<usize>) {
+        let domain = self.backbone();
+        let depth = domain.config().depth;
+        domain.embed(image, &mut ws.tokens, &mut ws.blocks);
         ws.origin.clear();
         ws.origin.push(None);
-        ws.origin.extend((0..tokens.dim(0) - 1).map(Some));
-        let mut tokens_per_block = Vec::with_capacity(backbone.config().depth);
-        let mut keep_fractions = Vec::new();
-        let mut surviving_patches = Vec::new();
-        let mut maps = None;
-        for (index, block) in backbone.blocks().iter().enumerate() {
+        ws.origin.extend((0..ws.tokens.dim(0) - 1).map(Some));
+        ws.keep_fractions.clear();
+        let mut tokens_per_block = Vec::with_capacity(depth);
+        for index in 0..depth {
             if self.has_stage(index) {
-                let n = tokens.dim(0);
-                tokens.slice_rows_into(1, n, &mut ws.patches);
+                let n = ws.tokens.dim(0);
+                ws.tokens.slice_rows_into(1, n, &mut ws.patches);
+                ws.tokens.slice_rows_into(0, 1, &mut ws.cls);
                 let stage = StageInput {
                     index,
-                    block,
-                    tokens: &tokens,
+                    tokens: &ws.tokens,
                     patches: &ws.patches,
-                    maps: maps.as_ref(),
+                    cls_attn: (index > 0).then(|| Self::Domain::cls_attention(&ws.blocks)),
                 };
                 self.select(&stage, &mut ws.stage);
                 let kept = &ws.stage.kept;
-                keep_fractions.push(kept.len() as f32 / (n - 1) as f32);
-                surviving_patches.push(kept.iter().filter_map(|&i| ws.origin[i + 1]).collect());
+                let done = ws.keep_fractions.len();
+                if ws.surviving.len() == done {
+                    ws.surviving.push(Vec::new());
+                }
+                ws.surviving[done].clear();
+                ws.surviving[done].extend(kept.iter().filter_map(|&i| ws.origin[i + 1]));
+                ws.keep_fractions.push(kept.len() as f32 / (n - 1) as f32);
                 ws.new_origin.clear();
                 ws.new_origin.push(None);
                 ws.new_origin.extend(kept.iter().map(|&i| ws.origin[i + 1]));
-                tokens.slice_rows_into(0, 1, &mut ws.cls);
                 ws.patches.gather_rows_into(kept, &mut ws.kept_rows);
-                match self.consolidate(&ws.patches, &mut ws.kept_rows, &mut ws.stage) {
-                    Some(token) => {
-                        let parts = [&ws.cls, &ws.kept_rows, &token];
-                        Tensor::concat_rows_into(&parts, &mut ws.repacked);
-                        ws.new_origin.push(None);
-                    }
-                    None => Tensor::concat_rows_into(&[&ws.cls, &ws.kept_rows], &mut ws.repacked),
+                if self.consolidate(&stage, &mut ws.kept_rows, &mut ws.stage) {
+                    let parts = [&ws.cls, &ws.kept_rows, &ws.stage.package];
+                    Tensor::concat_rows_into(&parts, &mut ws.repacked);
+                    ws.new_origin.push(None);
+                } else {
+                    Tensor::concat_rows_into(&[&ws.cls, &ws.kept_rows], &mut ws.repacked);
                 }
                 // The repacked matrix becomes the tokens; the old token
                 // storage becomes the next stage's repack buffer.
-                std::mem::swap(&mut tokens, &mut ws.repacked);
+                std::mem::swap(&mut ws.tokens, &mut ws.repacked);
                 std::mem::swap(&mut ws.origin, &mut ws.new_origin);
             }
-            tokens_per_block.push(tokens.dim(0));
-            let (out, block_maps) = block.infer_with(&tokens, None, ws);
-            tokens = out;
-            maps = self.has_stage(index + 1).then_some(block_maps);
+            tokens_per_block.push(ws.tokens.dim(0));
+            domain.run_block(index, &mut ws.tokens, &mut ws.blocks);
         }
-        PrunedInference {
-            logits: backbone.classify_tokens_infer(&tokens),
-            tokens_per_block,
-            keep_fractions,
-            surviving_patches,
-        }
+        ws.tokens.slice_rows_into(0, 1, &mut ws.cls);
+        (domain.classify(&ws.cls, &mut ws.blocks), tokens_per_block)
     }
 
     /// Runs a batch of images through one shared workspace; equivalent to
     /// mapping [`TokenPolicy::infer`] over `images`.
     fn infer_batch(&self, images: &[Tensor]) -> Vec<PrunedInference> {
-        let mut ws = InferScratch::default();
+        let mut ws = PolicyScratch::default();
         images
             .iter()
             .map(|image| self.infer_with(image, &mut ws))
@@ -192,23 +248,58 @@ pub trait TokenPolicy: Send + Sync {
     }
 
     /// Multiply–accumulate count of one inference at a per-block token
-    /// schedule, stage overhead included — an inference's own
-    /// `tokens_per_block`, or [`TokenPolicy::planned_tokens_per_block`] for
-    /// cost prediction.
+    /// schedule, stage overhead included, as the domain charges it — an
+    /// inference's own `tokens_per_block`, or
+    /// [`TokenPolicy::planned_tokens_per_block`] for cost prediction.
     fn macs_for_tokens(&self, tokens_per_block: &[usize]) -> u64 {
-        let backbone = self.backbone();
-        let mut total = backbone.patch_embed().macs() + backbone.head().macs(1);
-        let mut tokens_in = backbone.config().num_tokens();
-        for (index, (block, &tokens)) in backbone.blocks().iter().zip(tokens_per_block).enumerate()
-        {
+        let domain = self.backbone();
+        let mut stages = 0;
+        let mut tokens_in = domain.config().num_tokens();
+        for (index, &tokens) in tokens_per_block.iter().enumerate() {
             if self.has_stage(index) {
-                total += self.stage_macs(index, tokens_in, tokens);
+                stages += self.stage_macs(index, tokens_in, tokens);
             }
-            total += block.macs(tokens);
             tokens_in = tokens;
         }
-        total
+        domain.charged_macs(domain.raw_macs(tokens_per_block.iter().copied()) + stages)
     }
+}
+
+/// The package token of paper Eq. 10: rows `rows` of `patches` averaged
+/// with weights `scores[row] / Σ scores` (uniform when the scores sum to
+/// at most `1e-12`), written to `out` as `[1, D]`; `false`, leaving `out`
+/// alone, when `rows` is empty. Each column is summed in row order, divided
+/// by the row count and multiplied back by it, as every pinned output was.
+///
+/// # Panics
+///
+/// Panics if a row or its score is out of bounds.
+pub fn package_tokens_into(
+    patches: &Tensor,
+    rows: &[usize],
+    scores: &[f32],
+    out: &mut Tensor,
+) -> bool {
+    if rows.is_empty() {
+        return false;
+    }
+    let count = rows.len() as f32;
+    let total: f32 = rows.iter().map(|&r| scores[r]).sum();
+    out.reset_zeroed(&[1, patches.dim(1)]);
+    for &r in rows {
+        let weight = if total <= 1e-12 {
+            1.0 / count
+        } else {
+            scores[r] / total
+        };
+        for (o, &x) in out.data_mut().iter_mut().zip(patches.row(r)) {
+            *o += x * weight;
+        }
+    }
+    for o in out.data_mut() {
+        *o = *o / count * count;
+    }
+    true
 }
 
 /// A stage that keeps a fraction of the patch tokens entering it.

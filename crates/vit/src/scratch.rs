@@ -4,7 +4,8 @@
 //! every image: the Q/K/V projections, the concatenated head outputs, the
 //! layer-norm output and the FFN hidden/output activations; a pruned pass
 //! adds the repacked token matrices between blocks and whatever its token
-//! policy scores with. When a batch of images is pushed through one model,
+//! policy scores with ([`PolicyScratch`], shared by the f32 and int8 block
+//! domains). When a batch of images is pushed through one model,
 //! those buffers can be reused — after the first image the workspace is warm
 //! and the hot path performs no per-image heap allocation for them. This is
 //! the software mirror of the accelerator's statically-sized on-chip buffers
@@ -36,8 +37,8 @@ pub struct AttnScratch {
     pub(crate) gs: GemmScratch,
 }
 
-/// Buffers reused by the block- and model-level inference paths, the
-/// [`crate::TokenPolicy`] loop included.
+/// Buffers reused by the block- and model-level inference paths: the f32
+/// block domain's workspace.
 ///
 /// One `InferScratch` serves every block of a model (the buffers are
 /// reshaped in place as token counts shrink under pruning) and every image
@@ -52,6 +53,20 @@ pub struct InferScratch {
     pub(crate) ffn_out: Tensor,
     /// Staging for the FFN's fused layer-norm blocks.
     pub(crate) gs: GemmScratch,
+    /// The last block's class-token attention to each patch row, averaged
+    /// over heads.
+    pub(crate) cls_attn: Vec<f32>,
+}
+
+/// The workspace of the [`crate::TokenPolicy`] loop: its token matrix, the
+/// dense repack between blocks, the stage's buffers and record, around the
+/// block domain's own buffers `B`.
+#[derive(Debug, Clone, Default)]
+pub struct PolicyScratch<B> {
+    /// The block domain's buffers ([`InferScratch`] for f32).
+    pub blocks: B,
+    /// The current token matrix `[1 + N, D]`, class token first.
+    pub(crate) tokens: Tensor,
     /// Patch-token rows (class token excluded) `[N, D]` at a stage.
     pub(crate) patches: Tensor,
     /// The class-token row `[1, D]`.
@@ -67,6 +82,12 @@ pub struct InferScratch {
     pub(crate) new_origin: Vec<Option<usize>>,
     /// What a token policy's stage writes, and the buffers it scores with.
     pub(crate) stage: StageScratch,
+    /// Each stage's kept share of its incoming patch rows, for the last
+    /// image.
+    pub(crate) keep_fractions: Vec<f32>,
+    /// The original patch indices that survived each stage (the first
+    /// `keep_fractions.len()` entries are the last image's).
+    pub(crate) surviving: Vec<Vec<usize>>,
 }
 
 /// The buffers a [`crate::TokenPolicy`] stage works in: its answer
@@ -84,8 +105,8 @@ pub struct StageScratch {
     pub weights: Vec<f32>,
     /// Whether each kept row has absorbed a pruned one (mergence).
     pub merged: Vec<bool>,
-    /// The pruned rows a package token is averaged from.
-    pub rows: Tensor,
+    /// The token a stage appends after the kept rows (the package token).
+    pub package: Tensor,
     /// The upcoming block's layer-normed tokens (attention-probing scorers).
     pub normed: Tensor,
     /// The class token's normed row, the query's input.
@@ -104,5 +125,5 @@ pub struct StageScratch {
 // fail to build here, not at the distant thread-spawn site.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
-    assert_send::<InferScratch>();
+    assert_send::<PolicyScratch<InferScratch>>();
 };
