@@ -2,6 +2,7 @@
 
 use crate::{Module, Param, Tape, Var};
 use heatvit_tensor::{mean_var, Tensor};
+use std::ops::Range;
 
 /// Layer normalization over the channel (last) dimension with a learnable
 /// affine transform.
@@ -79,10 +80,21 @@ impl LayerNorm {
     ///
     /// Panics if `x` is not `[N, dim]`.
     pub fn infer_into(&self, x: &Tensor, out: &mut Tensor) {
+        self.infer_rows_into(x, 0..x.dim(0), out);
+    }
+
+    /// [`LayerNorm::infer_into`] of the rows `rows` of `x` alone, into `out`
+    /// `[rows.len(), dim]`. The norm is row-wise, so each row has the bits
+    /// the whole-matrix path gives it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not `[N, dim]` or `rows` reaches past row `N`.
+    pub fn infer_rows_into(&self, x: &Tensor, rows: Range<usize>, out: &mut Tensor) {
         assert_eq!(x.dim(1), self.dim, "layernorm width mismatch");
-        out.reset_unspecified(x.dims());
-        for r in 0..x.dim(0) {
-            self.normalize_row(x.row(r), out.row_mut(r));
+        out.reset_unspecified(&[rows.len(), self.dim]);
+        for (o, r) in rows.enumerate() {
+            self.normalize_row(x.row(r), out.row_mut(o));
         }
     }
 

@@ -159,8 +159,9 @@ impl VisionTransformer {
 
     /// Inference classification head (no tape).
     pub fn classify_tokens_infer(&self, tokens: &Tensor) -> Tensor {
-        let normed = self.norm.infer(tokens);
-        self.head.infer(&normed.slice_rows(0, 1))
+        let mut cls = Tensor::default();
+        self.norm.infer_rows_into(tokens, 0..1, &mut cls);
+        self.head.infer(&cls)
     }
 
     /// Traced inference capturing per-block tokens and attention maps
@@ -226,7 +227,7 @@ impl BlockDomain for VisionTransformer {
     }
 
     fn classify(&self, cls: &Tensor, _ws: &mut InferScratch) -> Tensor {
-        self.head.infer(&self.norm.infer(cls))
+        self.classify_tokens_infer(cls)
     }
 
     fn raw_macs(&self, tokens_per_block: impl IntoIterator<Item = usize>) -> u64 {
