@@ -499,11 +499,6 @@ impl QLinear {
         self.activation = Some(params);
     }
 
-    /// Drops the static activation scale, returning to dynamic max-abs.
-    pub fn clear_activation_params(&mut self) {
-        self.activation = None;
-    }
-
     /// The quantized weight, row-major `[in_features, out_features]`.
     pub fn weight(&self) -> &QTensor {
         &self.weight

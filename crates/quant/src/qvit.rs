@@ -508,9 +508,8 @@ impl QuantizedViT {
 
     /// Records static activation [`QuantParams`] for every quantization site
     /// from a held-out batch: each site's max-abs is accumulated across the
-    /// whole batch, then frozen into per-layer scales. Until this runs (or
-    /// after [`QuantizedViT::clear_calibration`]) every site falls back to
-    /// dynamic per-tensor max-abs.
+    /// whole batch, then frozen into per-layer scales. Until this runs every
+    /// site falls back to dynamic per-tensor max-abs.
     ///
     /// # Panics
     ///
@@ -531,22 +530,6 @@ impl QuantizedViT {
             block.apply_calibration(c);
         }
         self.calibrated = true;
-    }
-
-    /// Drops all static activation scales, returning to dynamic max-abs.
-    pub fn clear_calibration(&mut self) {
-        self.patch.proj.clear_activation_params();
-        self.head.clear_activation_params();
-        for block in &mut self.blocks {
-            block.wq.clear_activation_params();
-            block.wk.clear_activation_params();
-            block.wv.clear_activation_params();
-            block.proj.clear_activation_params();
-            block.fc1.clear_activation_params();
-            block.fc2.clear_activation_params();
-            block.attn_acts = None;
-        }
-        self.calibrated = false;
     }
 
     /// Classifies one image through the integer pipeline
@@ -735,8 +718,6 @@ mod tests {
         let a = qmodel.infer(&img);
         let b = qmodel.infer(&img);
         assert_eq!(a.logits.data(), b.logits.data());
-        qmodel.clear_calibration();
-        assert!(!qmodel.is_calibrated());
     }
 
     #[test]
