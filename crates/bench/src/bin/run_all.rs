@@ -1,54 +1,43 @@
-//! The variant throughput table: every [`BackendKind`] (dense,
-//! adaptive-pruned, static-pruned, the training-free cls-attn /
-//! token-merge / topk-attn family, int8-dense, int8-adaptive) driven as a
-//! type-erased `Engine<Backend>` over the same synthetic batch, measured
-//! sequentially and sharded across a 4-thread worker pool. One measurement
-//! loop, eight rows — no per-backend code.
+//! The variant table: every [`BackendKind`] (dense, adaptive-pruned,
+//! static-pruned, the training-free cls-attn / token-merge / topk-attn
+//! family, int8-dense, int8-adaptive) driven as a type-erased
+//! `Engine<Backend>` over the same synthetic batch, sequentially and
+//! sharded across a 4-thread worker pool. One loop, eight rows — no
+//! per-backend code.
 //!
 //! ```text
 //! cargo run --release -p heatvit-bench --bin run_all [-- --quick]
 //! ```
 //!
-//! `--quick` shrinks the batch for CI smoke runs; the
-//! `HEATVIT_RUN_ALL_SAMPLES` environment variable overrides the batch size
-//! outright (it wins over `--quick`). `--json <path>` additionally writes
-//! the table as a machine-readable report (one object per backend:
-//! images/s sequential and sharded, ms/image, MMACs, MAC speedup, final
-//! tokens, predicted FPGA latency, top-1 agreement, plus a `telemetry`
-//! snapshot of every engine's per-variant counters) — the committed
-//! `BENCH_run_all.json` at the repo root is produced this way, through the
-//! same `json::Emitter` pipeline as `serve_demo`.
+//! `--quick` shrinks the batch for CI smoke runs. Nothing here reads a
+//! clock: every column is a count or a model's prediction, so the table is
+//! the same on every run of one host. Inference speed is measured by the
+//! repository benchmark (`benchmark/`, per layer with `--trace 1`).
 //!
 //! The `fpga-ms` column is the `heatvit-fpga` cycle model's prediction for
 //! one image on the paper's ZCU102 tiled-GEMM geometry — the accelerator
-//! latency the cost profiles imply, printed beside host wall-clock so the
-//! two cost orderings can be compared. How the rows fare on the host
-//! depends on its CPU: the header's `int8 kernel:` and `f32 kernel:` lines
-//! (also `"int8_kernel"` / `"f32_kernel"` in the JSON report) say whether
-//! the AVX-512 kernels or the portable ones produced them.
+//! latency the cost profiles imply. The header's `int8 kernel:` and
+//! `f32 kernel:` lines say whether the AVX-512 kernels or the portable
+//! ones ran.
 //!
-//! Before timing, the binary asserts batched/single parity for every
-//! variant and sharded/sequential parity for the multi-threaded engine, so
-//! the table is only printed for verified-identical arithmetic. The int8
-//! rows report packed-DSP-equivalent MACs (raw ÷ ~1.9, paper Section V-C)
-//! and must agree with the float dense model on ≥95 % of top-1 predictions.
-//! The training-free rows carry their own gate: cls-attn and token-merge
-//! are held to the same 95 % agreement budget, and token mergence must
+//! The binary asserts batched/single parity for every variant and
+//! sharded/sequential parity for the multi-threaded engine, so the table is
+//! only printed for verified-identical arithmetic. The int8 rows report
+//! packed-DSP-equivalent MACs (raw ÷ ~1.9, paper Section V-C) and must
+//! agree with the float dense model on ≥95 % of top-1 predictions. The
+//! training-free rows carry their own gate: cls-attn and token-merge are
+//! held to the same 95 % agreement budget, and token mergence must
 //! disagree with dense no more often than the hard drop at the identical
 //! keep rate — all asserted, not just printed.
 
-use heatvit::telemetry::Registry;
 use heatvit::{BackendKind, Engine, InferenceModel, LatencyModel};
-use heatvit_bench::json::{self, Emitter, JsonObject};
 use heatvit_bench::{build_backend, synthetic_batch};
 use heatvit_fpga::FpgaCycleModel;
 use heatvit_tensor::Tensor;
-use std::sync::Arc;
 
 const DEFAULT_BATCH: usize = 32;
 const QUICK_BATCH: usize = 8;
-const WARMUP_BATCHES: usize = 2;
-/// Worker-pool size of the sharded measurement (the `threads-x` column).
+/// Worker-pool size of the sharded parity check.
 const PAR_THREADS: usize = 4;
 /// Minimum top-1 agreement of the int8 rows against the float dense row.
 /// Enforced in whole predictions — see [`allowed_mismatches`].
@@ -64,9 +53,6 @@ fn allowed_mismatches(batch: usize) -> usize {
 
 struct Row {
     kind: BackendKind,
-    throughput: f64,
-    throughput_par: f64,
-    ms_per_image: f64,
     mmacs: f64,
     mac_speedup: f64,
     final_tokens: f64,
@@ -77,41 +63,17 @@ struct Row {
     predictions: Vec<usize>,
 }
 
-impl Row {
-    /// Sharded-over-sequential throughput gain (the `threads-x` column).
-    fn thread_scaling(&self) -> f64 {
-        self.throughput_par / self.throughput.max(1e-12)
-    }
-}
-
-/// Batch size: `HEATVIT_RUN_ALL_SAMPLES` beats `--quick` beats the default.
-fn batch_size() -> usize {
-    if let Ok(raw) = std::env::var("HEATVIT_RUN_ALL_SAMPLES") {
-        let n: usize = raw.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
-            panic!("HEATVIT_RUN_ALL_SAMPLES must be a positive integer, got {raw:?}")
-        });
-        return n;
-    }
-    if std::env::args().any(|a| a == "--quick") {
-        QUICK_BATCH
-    } else {
-        DEFAULT_BATCH
-    }
-}
-
-/// One kind's row: the type-erased backend measured sequentially and
-/// through the 4-thread shard, with batched/single and sharded/sequential
-/// parity asserted before either number is reported.
-fn measure(kind: BackendKind, images: &[Tensor], registry: &Arc<Registry>) -> Row {
+/// One kind's row: the type-erased backend run sequentially and through
+/// the 4-thread shard, with batched/single and sharded/sequential parity
+/// asserted before the row is reported.
+fn measure(kind: BackendKind, images: &[Tensor]) -> Row {
     let model = build_backend(kind);
     let dense_macs = InferenceModel::dense_macs(&model) as f64;
     let fpga_ms = FpgaCycleModel::default()
         .predict(&model.cost_profile())
         .as_secs_f64()
         * 1e3;
-    let engine = Engine::builder(model)
-        .telemetry(Arc::clone(registry))
-        .build();
+    let engine = Engine::builder(model).build();
 
     // Parity gate: every batched row must equal the per-image path bitwise.
     let probe = engine.infer_batch(&images[..4.min(images.len())]);
@@ -123,21 +85,13 @@ fn measure(kind: BackendKind, images: &[Tensor], registry: &Arc<Registry>) -> Ro
             "batched/single divergence in {kind}"
         );
     }
-
-    for _ in 0..WARMUP_BATCHES {
-        engine.infer_batch(images);
-    }
     let out = engine.infer_batch(images);
 
-    // The sharded engine must merge to the exact sequential bits before its
-    // throughput is worth reporting; it reuses the same model instance.
+    // The sharded engine must merge to the exact sequential bits; it
+    // reuses the same model instance.
     let par_engine = Engine::builder(engine.into_model())
         .threads(PAR_THREADS)
-        .telemetry(Arc::clone(registry))
         .build();
-    for _ in 0..WARMUP_BATCHES {
-        par_engine.infer_batch(images);
-    }
     let par_out = par_engine.infer_batch(images);
     assert_eq!(
         par_out.logits.data(),
@@ -148,9 +102,6 @@ fn measure(kind: BackendKind, images: &[Tensor], registry: &Arc<Registry>) -> Ro
 
     Row {
         kind,
-        throughput: out.throughput(),
-        throughput_par: par_out.throughput(),
-        ms_per_image: out.elapsed.as_secs_f64() * 1e3 / out.len() as f64,
         mmacs: out.mean_macs() / 1e6,
         mac_speedup: dense_macs / out.mean_macs().max(1.0),
         final_tokens: *out.mean_tokens_per_block().last().unwrap_or(&0.0),
@@ -178,28 +129,26 @@ fn mismatches(row: &Row, reference: &Row) -> usize {
 }
 
 fn main() {
-    let images = synthetic_batch(batch_size(), 0);
-    let cores = heatvit::EngineConfig::auto().threads.resolve();
+    let batch = if std::env::args().any(|a| a == "--quick") {
+        QUICK_BATCH
+    } else {
+        DEFAULT_BATCH
+    };
+    let images = synthetic_batch(batch, 0);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "heatvit run_all: micro backbone, {} synthetic 32x32 images per batch, \
          {PAR_THREADS}-thread shard on {cores} hardware thread(s)",
         images.len()
     );
-    let int8_kernel = heatvit_quant::int8_kernel();
-    println!("int8 kernel: {int8_kernel}");
-    let f32_kernel = heatvit_tensor::f32_kernel();
-    println!("f32 kernel: {f32_kernel}\n");
-
-    // One registry spans every measured engine: the embedded telemetry
-    // snapshot carries per-variant batch/image/inference-time counters
-    // alongside the wall-clock table.
-    let registry = Registry::new();
+    println!("int8 kernel: {}", heatvit_quant::int8_kernel());
+    println!("f32 kernel: {}\n", heatvit_tensor::f32_kernel());
 
     // The table rows ARE the kind registry: adding a backend to
     // `BackendKind::ALL` adds its row here with no further changes.
     let rows: Vec<Row> = BackendKind::ALL
         .into_iter()
-        .map(|kind| measure(kind, &images, &registry))
+        .map(|kind| measure(kind, &images))
         .collect();
     let reference = &rows[0];
     assert_eq!(
@@ -209,28 +158,15 @@ fn main() {
     );
 
     println!(
-        "{:<18} {:>12} {:>12} {:>10} {:>10} {:>12} {:>12} {:>14} {:>10} {:>12}",
-        "variant",
-        "images/s(1t)",
-        format!("images/s({PAR_THREADS}t)"),
-        "threads-x",
-        "ms/image",
-        "MMACs/img",
-        "MAC-speedup",
-        "final tokens",
-        "fpga-ms",
-        "top1-vs-f32"
+        "{:<18} {:>12} {:>12} {:>14} {:>10} {:>12}",
+        "variant", "MMACs/img", "MAC-speedup", "final tokens", "fpga-ms", "top1-vs-f32"
     );
-    println!("{}", "-".repeat(131));
+    println!("{}", "-".repeat(83));
     for r in &rows {
         let agree = agreement(r, reference);
         println!(
-            "{:<18} {:>12.1} {:>12.1} {:>9.2}x {:>10.3} {:>12.2} {:>11.2}x {:>14.1} {:>10.3} {:>11.1}%",
+            "{:<18} {:>12.2} {:>11.2}x {:>14.1} {:>10.3} {:>11.1}%",
             r.kind.label(),
-            r.throughput,
-            r.throughput_par,
-            r.thread_scaling(),
-            r.ms_per_image,
             r.mmacs,
             r.mac_speedup,
             r.final_tokens,
@@ -282,44 +218,4 @@ fn main() {
          budget, and mergence asserted to disagree with dense no more often than the \
          hard drop ({merge_missed} vs {cls_missed} mismatch(es))"
     );
-    if cores < PAR_THREADS {
-        println!(
-            "note: only {cores} hardware thread(s) available — the threads-x column cannot \
-             show real scaling on this machine"
-        );
-    } else if let Some(adaptive) = rows.iter().find(|r| r.kind == BackendKind::AdaptivePruned) {
-        // The ROADMAP target is measurable here; flag (non-fatally — wall
-        // clocks flake) if sharding fails to deliver it.
-        if adaptive.thread_scaling() < 1.5 {
-            println!(
-                "WARNING: adaptive-pruned threads-x {:.2}x is below the 1.5x roadmap target \
-                 despite {cores} hardware threads — check for accidental serialization",
-                adaptive.thread_scaling()
-            );
-        }
-    }
-
-    let backends = json::array(rows.iter().map(|r| {
-        JsonObject::new()
-            .str("variant", r.kind.label())
-            .num("images_per_s", r.throughput)
-            .num("images_per_s_par", r.throughput_par)
-            .num("thread_scaling", r.thread_scaling())
-            .num("ms_per_image", r.ms_per_image)
-            .num("mmacs_per_image", r.mmacs)
-            .num("mac_speedup", r.mac_speedup)
-            .num("final_tokens", r.final_tokens)
-            .num("predicted_fpga_ms", r.fpga_ms)
-            .num("top1_agreement_vs_f32", agreement(r, reference))
-            .build()
-    }));
-    Emitter::new("run_all")
-        .int("batch", images.len() as u64)
-        .int("par_threads", PAR_THREADS as u64)
-        .int("hardware_threads", cores as u64)
-        .str("int8_kernel", int8_kernel)
-        .str("f32_kernel", f32_kernel)
-        .raw("backends", backends)
-        .metrics("telemetry", &registry.snapshot())
-        .write_if_requested();
 }

@@ -60,7 +60,7 @@
 //! overload × SLO class, `lane_runs` one object per lane count, `open_loop`
 //! one object per rate, `telemetry` the 2-lane run's registry snapshot) —
 //! the committed `BENCH_serve.json` at the repo root is produced this way,
-//! through the same `json::Emitter` pipeline as `run_all`.
+//! through `json::Emitter`.
 //!
 //! Every SLO and lane run also asserts the telemetry redesign's honesty
 //! gate — per-class p95 and shed counts read from the registry snapshot

@@ -10,7 +10,7 @@
 //! `--quick` shrinks the dataset, the epoch counts, and the keep-target
 //! sweep for CI smoke runs; the `HEATVIT_TRAIN_STEPS` environment variable
 //! additionally caps the optimizer steps of every training phase (it
-//! composes with `--quick`, mirroring `HEATVIT_RUN_ALL_SAMPLES`).
+//! composes with `--quick`).
 //! `--joint` additionally trains a `train_backbone: true` student at the
 //! primary keep targets — selector *and* backbone weights both receive
 //! gradients, the paper's joint finetuning phase — and reports its accuracy

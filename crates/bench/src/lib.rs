@@ -1,11 +1,13 @@
-//! Benchmark harness for the HeatViT reproduction.
+//! Shared model fixtures and demo binaries of the HeatViT reproduction.
 //!
-//! The criterion microbenches live in `benches/` (GEMM repacking, selector
-//! scoring, int8 GEMM, nonlinearity approximations, end-to-end engine) and
-//! the `run_all` binary prints the dense vs. adaptive-pruned vs.
-//! static-pruned vs. int8-quantized throughput table over a synthetic
-//! batch. This library provides the shared fixtures so every bench measures
-//! the same models and data.
+//! The fixtures build every [`BackendKind`] over one micro backbone and
+//! synthetic batch, so the demo binaries and the repository benchmark
+//! (`benchmark/`) exercise the same models and data. `run_all` asserts
+//! parity and top-1 agreement gates and prints MAC and predicted-FPGA
+//! columns per variant, without a clock; `serve_demo` drives the serving
+//! front-end under load (its latency columns are wall-clock and never
+//! asserted); `train_demo` runs the training pipeline. Inference speed is
+//! measured by `benchmark/` alone, per layer with `--trace 1`.
 
 #![warn(missing_docs)]
 
@@ -175,12 +177,6 @@ pub fn synthetic_batch(count: usize, seed: u64) -> Vec<Tensor> {
         .iter()
         .map(|s| s.image.clone())
         .collect()
-}
-
-/// A deterministic `[n, d]` token matrix for layer-level benches.
-pub fn token_matrix(n: usize, d: usize, seed: u64) -> Tensor {
-    let mut rng = StdRng::seed_from_u64(seed);
-    Tensor::rand_normal(&[n, d], 0.0, 1.0, &mut rng)
 }
 
 /// Blocks the hand-placed two-stage demo schedule installs selectors in

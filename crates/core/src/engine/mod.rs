@@ -167,12 +167,6 @@ impl<M: InferenceModel> EngineBuilder<M> {
         self
     }
 
-    /// Replaces the whole configuration.
-    pub fn config(mut self, config: EngineConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Keeps up to `scratches` warm workspaces in the pool instead of the
     /// default (the resolved worker count). Useful when several callers
     /// share one engine concurrently — e.g. N serving lanes batching into

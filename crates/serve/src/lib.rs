@@ -90,7 +90,7 @@ mod server;
 
 #[doc(hidden)]
 pub use report::Stats;
-pub use report::{ClassReport, FlushCounts, FlushReason, ServeReport, MAX_LATENCY_SAMPLES};
+pub use report::{ClassReport, FlushCounts, FlushReason, ServeReport};
 pub use request::{InferRequest, InferResponse, Priority, SubmitError, Ticket};
 pub use server::{
     LaneAssignment, LaneCount, ServeConfig, Server, SloPolicy, StealPolicy, MAX_AUTO_LANES,

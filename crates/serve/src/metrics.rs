@@ -458,3 +458,139 @@ impl ServeMetrics {
         }));
     }
 }
+
+#[cfg(test)]
+mod tests {
+    //! The live report path on fixed inputs: each test replays one of the
+    //! `Stats` reference tests' sequences (`report.rs`) through
+    //! [`ServeMetrics`] and checks [`ServeReport::from_snapshot`] against
+    //! that test's hand-computed values.
+
+    use super::*;
+    use crate::ServeReport;
+
+    fn metrics(levels: usize, lanes: usize) -> ServeMetrics {
+        let variants: Vec<String> = (0..levels).map(|l| format!("level-{l}")).collect();
+        ServeMetrics::new(Registry::new(), 64, &variants, lanes, 4)
+    }
+
+    fn report(metrics: &ServeMetrics) -> ServeReport {
+        ServeReport::from_snapshot(&metrics.registry().snapshot())
+    }
+
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
+    /// A served batch with no prediction-error score.
+    fn batch(m: &ServeMetrics, size: usize, reason: FlushReason, done: Instant, lane: usize) {
+        m.record_batch(size, reason, done, lane, 0, ms(1), ms(1), false);
+    }
+
+    /// A resolved request with no queueing time.
+    fn respond(
+        m: &ServeMetrics,
+        latency: Duration,
+        missed: bool,
+        class: Priority,
+        level: usize,
+        keep: f64,
+        lane: usize,
+    ) {
+        m.record_response(latency, Duration::ZERO, missed, class, level, keep, lane, 1);
+    }
+
+    #[test]
+    fn live_report_aggregates_batches_and_responses() {
+        let m = metrics(2, 1);
+        let t0 = m.epoch;
+        m.record_first_submit(t0);
+        batch(&m, 2, FlushReason::MaxBatch, t0 + ms(10), 0);
+        respond(&m, ms(4), false, Priority::High, 0, 1.0, 0);
+        respond(&m, ms(8), true, Priority::Normal, 1, 0.7, 0);
+        batch(&m, 1, FlushReason::Idle, t0 + ms(20), 0);
+        respond(&m, ms(2), false, Priority::Normal, 0, 1.0, 0);
+        let report = report(&m);
+        assert_eq!(report.completed(), 3);
+        assert_eq!(report.batches(), 2);
+        assert_eq!(report.deadline_misses(), 1);
+        assert!((report.miss_rate() - 1.0 / 3.0).abs() < 1e-12);
+        assert_eq!(report.batch_histogram(), vec![(1, 1), (2, 1)]);
+        assert!((report.mean_batch() - 1.5).abs() < 1e-12);
+        assert_eq!(report.p50_ms(), 4.0);
+        assert_eq!(report.max_ms(), 8.0);
+        // Three requests over the 20 ms window from t0 to the last batch.
+        assert!((report.throughput() - 150.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn live_report_splits_per_class_rows() {
+        let m = metrics(2, 1);
+        respond(&m, ms(1), false, Priority::High, 0, 1.0, 0);
+        respond(&m, ms(9), true, Priority::Normal, 1, 0.6, 0);
+        respond(&m, ms(3), false, Priority::Normal, 1, 0.8, 0);
+        m.record_shed(Priority::Normal, ms(5));
+        let report = report(&m);
+        let high = report.class(Priority::High);
+        assert_eq!(
+            (
+                high.completed(),
+                high.deadline_misses(),
+                high.sheds(),
+                high.degraded()
+            ),
+            (1, 0, 0, 0)
+        );
+        assert!((high.mean_keep() - 1.0).abs() < 1e-12);
+        let normal = report.class(Priority::Normal);
+        assert_eq!(
+            (
+                normal.completed(),
+                normal.deadline_misses(),
+                normal.sheds(),
+                normal.degraded()
+            ),
+            (2, 1, 1, 2)
+        );
+        assert!((normal.mean_keep() - 0.7).abs() < 1e-12);
+        assert!((normal.miss_rate() - 0.5).abs() < 1e-12);
+        assert_eq!(report.sheds(), 1);
+        assert_eq!(report.level_served(), vec![1, 2]);
+    }
+
+    #[test]
+    fn live_report_averages_prediction_error_over_scored_batches() {
+        let m = metrics(1, 1);
+        assert!(report(&m).predicted_error_pct().is_nan());
+        let t0 = m.epoch;
+        m.record_batch(1, FlushReason::Idle, t0, 0, 0, ms(11), ms(10), true);
+        m.record_batch(1, FlushReason::Idle, t0, 0, 0, ms(9), ms(10), true);
+        // An unscored (cold-start) batch does not enter the mean.
+        m.record_batch(1, FlushReason::Idle, t0, 0, 0, ms(50), ms(10), false);
+        assert!((report(&m).predicted_error_pct() - 10.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn live_report_splits_served_and_stolen_work_per_lane() {
+        let m = metrics(1, 2);
+        let t0 = m.epoch;
+        // Lane 0 forms and executes a full batch of 3...
+        batch(&m, 3, FlushReason::MaxBatch, t0 + ms(1), 0);
+        for _ in 0..3 {
+            respond(&m, ms(1), false, Priority::Normal, 0, 1.0, 0);
+        }
+        // ...and lane 1 steals and executes a batch of 2 off lane 0's queue.
+        batch(&m, 2, FlushReason::Steal, t0 + ms(2), 1);
+        for _ in 0..2 {
+            respond(&m, ms(1), false, Priority::Normal, 0, 1.0, 1);
+        }
+        let report = report(&m);
+        assert_eq!(report.lanes(), 2);
+        assert_eq!(report.lane_served(), vec![3, 2]);
+        assert_eq!(report.lane_steals(), vec![0, 2]);
+        assert_eq!(report.stolen(), 2);
+        assert_eq!(report.flushes().steal, 1);
+        // Every stolen request still lands in the per-level row.
+        assert_eq!(report.level_served(), vec![5]);
+    }
+}

@@ -12,7 +12,7 @@
 
 use crate::metrics::names;
 use crate::request::Priority;
-use heatvit::telemetry::{MetricValue, Snapshot};
+use heatvit::telemetry::{MetricValue, Series, Snapshot};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
@@ -96,78 +96,10 @@ impl FlushCounts {
     }
 }
 
-/// Hard cap on retained latency samples: when the buffer fills, it is
-/// decimated (every other sample kept) and the sampling stride doubles, so
-/// memory stays bounded on a long-running server while p50/p95 remain
-/// representative. The worst case is exact for the first 64k requests and
-/// a deterministic 1-in-2ᵏ sample thereafter; the maximum is tracked
-/// exactly regardless.
-pub const MAX_LATENCY_SAMPLES: usize = 1 << 16;
-
-/// Bounded latency reservoir: exact up to [`MAX_LATENCY_SAMPLES`], then a
-/// deterministic even-spread decimation (see the constant's docs). The
-/// maximum survives decimation exactly.
-#[derive(Debug)]
-struct LatencySamples {
-    samples_us: Vec<u64>,
-    /// Record every `stride`-th observation (1 until the first decimation,
-    /// then doubling).
-    stride: u64,
-    /// Observations seen, driving the stride phase.
-    seen: u64,
-    /// Exact worst latency.
-    max_us: u64,
-}
-
-impl Default for LatencySamples {
-    fn default() -> Self {
-        Self {
-            samples_us: Vec::new(),
-            stride: 1,
-            seen: 0,
-            max_us: 0,
-        }
-    }
-}
-
-impl LatencySamples {
-    fn record(&mut self, latency: Duration) {
-        let us = latency.as_micros() as u64;
-        self.max_us = self.max_us.max(us);
-        if self.seen.is_multiple_of(self.stride) {
-            self.samples_us.push(us);
-            if self.samples_us.len() >= MAX_LATENCY_SAMPLES {
-                // Decimate: keep every other retained sample and halve the
-                // future sampling rate. Deterministic, bounded, and the
-                // kept samples stay an even spread over the whole history.
-                let mut index = 0usize;
-                self.samples_us.retain(|_| {
-                    let keep = index.is_multiple_of(2);
-                    index += 1;
-                    keep
-                });
-                self.stride *= 2;
-            }
-        }
-        self.seen += 1;
-    }
-
-    /// `(p50_ms, p95_ms, max_ms)` of everything recorded.
-    fn percentiles_ms(&self) -> (f64, f64, f64) {
-        let mut sorted = self.samples_us.clone();
-        sorted.sort_unstable();
-        (
-            percentile_us(&sorted, 0.50) as f64 / 1e3,
-            percentile_us(&sorted, 0.95) as f64 / 1e3,
-            self.max_us as f64 / 1e3,
-        )
-    }
-}
-
 /// Per-SLO-class accumulator behind [`ClassReport`].
 #[derive(Debug, Default)]
 pub(crate) struct ClassStats {
-    latencies: LatencySamples,
+    latencies: Series,
     completed: u64,
     deadline_misses: u64,
     sheds: u64,
@@ -185,7 +117,7 @@ pub(crate) struct ClassStats {
 #[doc(hidden)]
 #[derive(Debug)]
 pub struct Stats {
-    latencies: LatencySamples,
+    latencies: Series,
     completed: u64,
     deadline_misses: u64,
     batch_sizes: BTreeMap<usize, u64>,
@@ -209,7 +141,7 @@ pub struct Stats {
 impl Stats {
     pub fn new(levels: usize, lanes: usize) -> Self {
         Self {
-            latencies: LatencySamples::default(),
+            latencies: Series::default(),
             completed: 0,
             deadline_misses: 0,
             batch_sizes: BTreeMap::new(),
@@ -252,14 +184,15 @@ impl Stats {
         keep: f64,
         lane: usize,
     ) {
+        let us = latency.as_micros() as u64;
         self.completed += 1;
-        self.latencies.record(latency);
+        self.latencies.record(us);
         if missed {
             self.deadline_misses += 1;
         }
         let c = &mut self.classes[class.index()];
         c.completed += 1;
-        c.latencies.record(latency);
+        c.latencies.record(us);
         c.keep_sum += keep;
         if missed {
             c.deadline_misses += 1;
@@ -293,10 +226,10 @@ impl Stats {
             _ => Duration::ZERO,
         };
         let total_in_batches: u64 = self.batch_sizes.iter().map(|(s, n)| (*s as u64) * n).sum();
-        let (p50_ms, p95_ms, max_ms) = self.latencies.percentiles_ms();
+        let (p50_ms, p95_ms, max_ms) = self.latencies.snapshot().percentiles_ms();
         let classes = [Priority::High, Priority::Normal].map(|class| {
             let c = &self.classes[class.index()];
-            let (p50_ms, p95_ms, max_ms) = c.latencies.percentiles_ms();
+            let (p50_ms, p95_ms, max_ms) = c.latencies.snapshot().percentiles_ms();
             ClassReport {
                 class,
                 completed: c.completed,
@@ -346,16 +279,6 @@ impl Stats {
             },
         }
     }
-}
-
-/// Nearest-rank percentile over an ascending-sorted slice of microsecond
-/// latencies (0 for an empty slice).
-fn percentile_us(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 /// Per-SLO-class slice of a [`ServeReport`].
@@ -450,6 +373,11 @@ impl ClassReport {
 ///
 /// A report is a *view* materialized from the server's telemetry registry
 /// ([`ServeReport::from_snapshot`]); read through the accessor methods.
+/// Latency percentiles come from a telemetry
+/// [`Series`](heatvit::telemetry::Series): exact up to
+/// [`MAX_SERIES_SAMPLES`](heatvit::telemetry::MAX_SERIES_SAMPLES) requests,
+/// a deterministic even-spread sample beyond that; the maximum is always
+/// exact.
 #[derive(Debug, Clone)]
 pub struct ServeReport {
     /// Requests resolved.
@@ -464,9 +392,8 @@ pub struct ServeReport {
     batch_histogram: Vec<(usize, u64)>,
     /// Mean formed-batch size.
     mean_batch: f64,
-    /// Median request latency (submit → response), milliseconds. Exact up
-    /// to [`MAX_LATENCY_SAMPLES`] requests, computed over a deterministic
-    /// even-spread sample beyond that.
+    /// Median request latency (submit → response), milliseconds (sampling
+    /// bound in the type docs).
     p50_ms: f64,
     /// 95th-percentile request latency, milliseconds (nearest-rank; same
     /// sampling bound as `p50_ms`).
@@ -725,18 +652,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn percentile_is_nearest_rank() {
-        let v: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile_us(&v, 0.50), 50);
-        assert_eq!(percentile_us(&v, 0.95), 95);
-        assert_eq!(percentile_us(&v, 1.0), 100);
-        assert_eq!(percentile_us(&[7], 0.95), 7);
-        assert_eq!(percentile_us(&[], 0.95), 0);
-        // Small-sample nearest rank rounds up: p50 of [1, 2] is rank 1.
-        assert_eq!(percentile_us(&[1, 2], 0.50), 1);
-    }
-
-    #[test]
     fn flush_counts_bump_and_total() {
         let mut counts = FlushCounts::default();
         counts.bump(FlushReason::MaxBatch);
@@ -753,34 +668,6 @@ mod tests {
             assert_eq!(reason.index(), i);
             assert_eq!(FlushReason::from_label(reason.label()), Some(reason));
         }
-    }
-
-    #[test]
-    fn latency_storage_stays_bounded_under_sustained_load() {
-        let mut stats = Stats::new(1, 1);
-        let total = MAX_LATENCY_SAMPLES * 4;
-        for i in 0..total {
-            stats.record_response(
-                Duration::from_micros(i as u64 + 1),
-                false,
-                Priority::Normal,
-                0,
-                1.0,
-                0,
-            );
-        }
-        assert!(stats.latencies.samples_us.len() < MAX_LATENCY_SAMPLES);
-        let report = stats.report();
-        // Counters stay exact through decimation, including the maximum.
-        assert_eq!(report.completed(), total as u64);
-        assert_eq!(report.max_ms(), total as f64 / 1e3);
-        // Percentiles stay representative of the uniform 1..=total ramp.
-        let mid = total as f64 / 1e3 / 2.0;
-        assert!(
-            (report.p50_ms() - mid).abs() < mid * 0.05,
-            "{}",
-            report.p50_ms()
-        );
     }
 
     #[test]

@@ -31,12 +31,13 @@
 //!    off its front (scheduling order, leaving the victim a batch to form),
 //!    and executes them itself — flushes tagged [`FlushReason::Steal`].
 //! 3. The flushed batch runs through [`Engine::infer_batch_iter`] — the
-//!    engines are shared across lanes (`&self` inference over a scratch
-//!    checkout pool sized `workers × lanes`), so served logits are bitwise
-//!    identical to `Engine::infer_batch` on the same images no matter which
-//!    lane executes. The measured execution feeds back into the latency
-//!    model ([`LatencyModel::observe`]) from every lane; admission reads
-//!    the one merged model (per-lane observe, merged predict).
+//!    single-worker engines are shared across lanes (`&self` inference over
+//!    a scratch checkout pool of one per lane), so served logits are
+//!    bitwise identical to `Engine::infer_batch` on the same images no
+//!    matter which lane executes. The measured execution feeds back into
+//!    the latency model ([`LatencyModel::observe`]) from every lane;
+//!    admission reads the one merged model (per-lane observe, merged
+//!    predict).
 //! 4. Each request's [`Ticket`] resolves with its [`InferResponse`];
 //!    latency, batch size, flush reason, serving level, serving lane, and
 //!    deadline outcome land in the server's [`ServeReport`], broken out per
@@ -224,11 +225,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Deadline budget given to [`Server::submit_image`] conveniences.
     pub default_deadline: Duration,
-    /// Worker policy of the underlying [`Engine`]s (how each formed batch
-    /// is sharded across threads). The engines' warm scratch pools are
-    /// sized `workers × lanes` so concurrent lanes never contend on
-    /// allocation.
-    pub engine: heatvit::EngineConfig,
     /// Predictive-admission policy (disabled by default).
     pub slo: SloPolicy,
     /// How many batcher/executor lanes to run (one by default — the
@@ -253,7 +249,6 @@ impl Default for ServeConfig {
             max_batch: 8,
             queue_capacity: 64,
             default_deadline: Duration::from_millis(50),
-            engine: heatvit::EngineConfig::default(),
             slo: SloPolicy::default(),
             lanes: LaneCount::Fixed(1),
             assignment: LaneAssignment::RoundRobin,
@@ -440,8 +435,8 @@ pub struct Server<M: InferenceModel + 'static = heatvit::Backend> {
 }
 
 impl<M: InferenceModel + 'static> Server<M> {
-    /// Builds a single-level server (per `config.engine`) with an online
-    /// measured-EWMA latency model and spawns the lane threads.
+    /// Builds a single-level server with an online measured-EWMA latency
+    /// model and spawns the lane threads.
     ///
     /// # Panics
     ///
@@ -477,19 +472,17 @@ impl<M: InferenceModel + 'static> Server<M> {
         assert!(!models.is_empty(), "a server needs at least one backend");
         let registry = config.telemetry.clone().unwrap_or_default();
         let lane_count = config.lanes.resolve();
-        // Engines are shared across lanes; retain one warm scratch per
-        // worker per lane so concurrent lanes batching into the same level
-        // never contend on allocation.
-        let retention = config.engine.threads.resolve() * lane_count;
         let levels: Vec<Level<M>> = models
             .into_iter()
             .map(|model| {
                 let profile = model.cost_profile();
                 let keep = profile.keep_fraction();
                 Level {
+                    // Single-worker engines shared across lanes: one warm
+                    // scratch per lane, so concurrent lanes batching into
+                    // the same level never contend on allocation.
                     engine: Engine::builder(model)
-                        .config(config.engine)
-                        .scratch_retention(retention)
+                        .scratch_retention(lane_count)
                         .telemetry(Arc::clone(&registry))
                         .build(),
                     profile,

@@ -1,13 +1,13 @@
-//! Minimal hand-rolled JSON emission plus the [`Emitter`] the bench
-//! binaries share.
+//! Minimal hand-rolled JSON emission plus the [`Emitter`] behind
+//! `serve_demo`'s report.
 //!
 //! The workspace deliberately carries no serialization dependency, and the
-//! bench reports are flat: a handful of metadata fields plus arrays of
-//! per-backend objects. This module provides just enough — an ordered
-//! [`JsonObject`] builder, an [`array()`] joiner, and the [`Emitter`] that
-//! standardizes the `--json <path>` protocol (leading `"bench"` key, file
-//! write, `wrote <path>` confirmation) — to emit `BENCH_run_all.json` /
-//! `BENCH_serve.json` without pulling in serde. Numbers are written with
+//! report is flat: a handful of metadata fields plus arrays of per-run
+//! objects. This module provides just enough — an ordered [`JsonObject`]
+//! builder, an [`array()`] joiner, and the [`Emitter`] that standardizes
+//! the `--json <path>` protocol (leading `"bench"` key, file write,
+//! `wrote <path>` confirmation) — to emit `BENCH_serve.json` without
+//! pulling in serde. Numbers are written with
 //! at most four decimals (trailing zeros trimmed) so committed reports
 //! stay readable in diffs; non-finite floats become `null` rather than
 //! invalid JSON.
@@ -19,8 +19,7 @@
 use crate::registry::Snapshot;
 
 /// The `--json <path>` report destination from the process arguments, if
-/// requested. Shared by `run_all` and `serve_demo` so both binaries parse
-/// the flag identically; panics if `--json` is present without a path.
+/// requested; panics if `--json` is present without a path.
 pub fn path_from_args() -> Option<std::path::PathBuf> {
     let mut args = std::env::args();
     while let Some(arg) = args.next() {
