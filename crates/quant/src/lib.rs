@@ -8,7 +8,7 @@
 //!   quantization with max-abs calibration, plus [`fake_quantize`] for
 //!   accuracy studies without integer kernels;
 //! * [`qmatmul`] / [`qmatmul_transb`] / [`QLinear`] — `i8 × i8 → i32` GEMM
-//!   with float rescaling (plus allocation-free `_into` forms), the
+//!   with float rescaling (plus allocation-free `_with` forms), the
 //!   arithmetic the FPGA's DSP-packed GEMM engine performs;
 //! * [`approx`] — polynomial replacements for `erf`/GELU (Eqs. 11–12),
 //!   shift-based softmax exponentiation (Eqs. 13–14), and the PLAN sigmoid,
@@ -46,8 +46,8 @@ mod qvit;
 mod scratch;
 
 pub use qgemm::{
-    int8_kernel, qmatmul, qmatmul_into, qmatmul_transb, qmatmul_transb_into, qmatmul_transb_with,
-    qmatmul_with, qpack_b, qpack_b_t, qpacked_len, QLinear, QMR, QNR,
+    int8_kernel, qmatmul, qmatmul_transb, qmatmul_transb_with, qmatmul_with, qpack_b, qpack_b_t,
+    qpacked_len, QLinear, QMR, QNR,
 };
 pub use qtensor::{fake_quantize, QTensor, QuantParams};
 pub use qvit::{packed_macs, QuantPruneStage, QuantizedViT, DSP_PACKING_FACTOR};

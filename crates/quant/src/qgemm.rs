@@ -129,8 +129,17 @@ pub fn qpack_b_t(bt: &[i8], n: usize, k: usize, pack: &mut Vec<i8>) {
         let (header, groups) = panel.split_at_mut(HEADER);
         let mut sums = [0i32; QNR];
         for (c, col) in cols.chunks_exact(k).enumerate() {
-            for (group, word) in groups.chunks_exact_mut(GROUP).zip(col.chunks(QKG)) {
-                group[c * QKG..][..word.len()].copy_from_slice(word);
+            // Whole words as fixed 4-byte moves, then the last partial one.
+            let words = col.chunks_exact(QKG);
+            let tail = words.remainder();
+            let mut slots = groups
+                .chunks_exact_mut(GROUP)
+                .map(|g| &mut g[c * QKG..][..QKG]);
+            for (word, slot) in words.zip(slots.by_ref()) {
+                slot.copy_from_slice(word);
+            }
+            if let Some(slot) = slots.next() {
+                slot[..tail.len()].copy_from_slice(tail);
             }
             sums[c] = col.iter().map(|&v| v as i32).sum();
         }
@@ -325,9 +334,334 @@ mod vnni {
     }
 }
 
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+mod amx {
+    //! The AMX-INT8 kernel (see the parent module's docs for the layout: a
+    //! B tile is sixteen consecutive k-groups of a panel, read in place).
+    //!
+    //! The tile instructions are written in `asm!`: their intrinsics are
+    //! not stable. Tile registers are fixed by role — `tmm0`–`tmm3` the
+    //! 2×2 block of `i32` C tiles, `tmm4`/`tmm5` the top and bottom A tile,
+    //! `tmm6`/`tmm7` the left and right B tile — and rustc allocates none of
+    //! them, so they keep their values between `asm!` blocks.
+
+    use super::{panel_len, GROUP, HEADER, QNR};
+    use std::arch::asm;
+    use std::arch::x86_64::{
+        __cpuid, __cpuid_count, __m512, __mmask16, _mm512_cvtepi32_ps, _mm512_loadu_si512,
+        _mm512_mask_storeu_ps, _mm512_mul_ps, _mm512_set1_ps,
+    };
+    use std::sync::OnceLock;
+
+    /// Rows of every tile (A rows, C rows, B k-groups).
+    const TM: usize = 16;
+    /// Bytes per tile row: the `k` values one A row contributes per step.
+    const TK: usize = 64;
+    /// Bytes in one tile.
+    const TILE: usize = TM * TK;
+    // A B tile row is one k-group; a C tile is one panel wide.
+    const _: () = assert!(TK == GROUP && TM == QNR);
+
+    /// `ldtilecfg`'s operand: palette 1, all eight tiles 16 rows × 64 bytes.
+    const CONFIG: [u8; 64] = {
+        let mut cfg = [0u8; 64];
+        cfg[0] = 1;
+        let mut t = 0;
+        while t < 8 {
+            cfg[16 + 2 * t] = TK as u8;
+            cfg[48 + t] = TM as u8;
+            t += 1;
+        }
+        cfg
+    };
+
+    /// `true` when the CPU has AMX-TILE, AMX-INT8 and AVX-512F (the
+    /// epilogue's) and the OS lets this process use the tile data state.
+    /// Asked once per process.
+    pub(super) fn available() -> bool {
+        static GRANTED: OnceLock<bool> = OnceLock::new();
+        *GRANTED.get_or_init(|| {
+            is_x86_feature_detected!("avx512f") && cpu_has_amx_int8() && os_grants_tile_data()
+        })
+    }
+
+    /// CPUID leaf 7, sub-leaf 0, EDX bits 24 (AMX-TILE) and 25 (AMX-INT8).
+    fn cpu_has_amx_int8() -> bool {
+        const AMX_TILE_AND_INT8: u32 = 0b11 << 24;
+        __cpuid(0).eax >= 7 && __cpuid_count(7, 0).edx & AMX_TILE_AND_INT8 == AMX_TILE_AND_INT8
+    }
+
+    /// Linux keeps the 8 KB tile data state off until a process asks:
+    /// `arch_prctl(ARCH_REQ_XCOMP_PERM, XFEATURE_XTILEDATA)`. The grant is
+    /// per process; it changes nothing outside it.
+    fn os_grants_tile_data() -> bool {
+        const SYS_ARCH_PRCTL: i64 = 158;
+        const ARCH_REQ_XCOMP_PERM: u64 = 0x1023;
+        const XFEATURE_XTILEDATA: u64 = 18;
+        let ret: i64;
+        // SAFETY: this system call takes two integers and touches no memory
+        // of this process; `syscall` clobbers `rcx` and `r11`, declared.
+        unsafe {
+            asm!(
+                "syscall",
+                inlateout("rax") SYS_ARCH_PRCTL => ret,
+                in("rdi") ARCH_REQ_XCOMP_PERM,
+                in("rsi") XFEATURE_XTILEDATA,
+                lateout("rcx") _,
+                lateout("r11") _,
+                options(nostack),
+            );
+        }
+        ret == 0
+    }
+
+    /// Sixteen readable rows of 64 bytes, `stride` bytes apart: what one
+    /// tile load reads. Built only by [`a_tile`] and [`b_tile`], which
+    /// check it.
+    struct Rows {
+        ptr: *const i8,
+        stride: usize,
+    }
+
+    /// The tile configuration, live from [`Tiles::configure`] until drop
+    /// (`tilerelease`): no tile state outlives a GEMM call.
+    struct Tiles;
+
+    impl Tiles {
+        /// # Safety
+        ///
+        /// [`available`] must have returned `true`.
+        #[inline]
+        unsafe fn configure() -> Self {
+            // SAFETY: the caller saw `available` grant the tile state;
+            // `CONFIG` is the 64 readable bytes `ldtilecfg` reads, holding a
+            // valid palette-1 configuration.
+            unsafe {
+                asm!("ldtilecfg [{}]", in(reg) CONFIG.as_ptr(), options(readonly, nostack, preserves_flags));
+            }
+            Tiles
+        }
+
+        #[inline(always)]
+        fn zero<const T: u8>(&self) {
+            // SAFETY: the tiles are configured while `self` lives.
+            unsafe {
+                asm!("tilezero tmm{t}", t = const T, options(nomem, nostack, preserves_flags))
+            }
+        }
+
+        #[inline(always)]
+        fn load<const T: u8>(&self, src: Rows) {
+            // SAFETY: the tiles are configured while `self` lives, and
+            // `Rows` guarantees the 16 strided 64-byte rows are readable.
+            unsafe {
+                asm!(
+                    "tileloadd tmm{t}, [{p} + {s} * 1]",
+                    t = const T,
+                    p = in(reg) src.ptr,
+                    s = in(reg) src.stride,
+                    options(readonly, nostack, preserves_flags),
+                );
+            }
+        }
+
+        /// `tmm{C} += tmm{A} · tmm{B}`, signed bytes, exact `i32` sums.
+        #[inline(always)]
+        fn dot<const C: u8, const A: u8, const B: u8>(&self) {
+            // SAFETY: the tiles are configured while `self` lives.
+            unsafe {
+                asm!(
+                    "tdpbssd tmm{c}, tmm{a}, tmm{b}",
+                    c = const C,
+                    a = const A,
+                    b = const B,
+                    options(nomem, nostack, preserves_flags),
+                );
+            }
+        }
+
+        #[inline(always)]
+        fn store<const T: u8>(&self, dst: &mut [[i32; QNR]; TM]) {
+            // SAFETY: the tiles are configured while `self` lives; `dst` is
+            // the 16 rows × 64 bytes the store writes at stride 64.
+            unsafe {
+                asm!(
+                    "tilestored [{p} + {s} * 1], tmm{t}",
+                    t = const T,
+                    p = in(reg) dst.as_mut_ptr(),
+                    s = in(reg) TK,
+                    options(nostack, preserves_flags),
+                );
+            }
+        }
+    }
+
+    impl Drop for Tiles {
+        fn drop(&mut self) {
+            // SAFETY: returns the tile state to its initial state; valid
+            // whenever `ldtilecfg` ran, as it did in `configure`.
+            unsafe { asm!("tilerelease", options(nomem, nostack, preserves_flags)) }
+        }
+    }
+
+    /// k step `step` of the sixteen A rows starting `rest` (A from the
+    /// sub-tile's first row to its end). Read in place while the read stays
+    /// inside `rest`: on a partial last step the bytes past `k` are the next
+    /// row's, and they meet B's zeros. Near A's end the live rows are
+    /// copied into `stage` instead, zero-initialized: a byte left over from
+    /// an earlier copy also meets a zero of B, or lands in a row not stored.
+    #[inline]
+    fn a_tile(rest: &[i8], k: usize, step: usize, stage: &mut [i8; TILE]) -> Rows {
+        let k0 = step * TK;
+        if rest.len() >= (TM - 1) * k + k0 + TK {
+            return Rows {
+                ptr: rest[k0..].as_ptr(),
+                stride: k,
+            };
+        }
+        let width = (k - k0).min(TK);
+        for (dst, row) in stage.chunks_exact_mut(TK).zip(rest.chunks_exact(k)) {
+            dst[..width].copy_from_slice(&row[k0..k0 + width]);
+        }
+        Rows {
+            ptr: stage.as_ptr(),
+            stride: TK,
+        }
+    }
+
+    /// k step `step` of a panel: sixteen k-groups in place, or the last
+    /// `< 16` copied into the front of `stage`, whose rest stays zero (so
+    /// A's bytes past `k` always meet zeros).
+    #[inline]
+    fn b_tile(panel: &[i8], step: usize, stage: &mut [i8; TILE]) -> Rows {
+        let groups = &panel[HEADER + step * TILE..];
+        let ptr = match groups.len() >= TILE {
+            true => groups.as_ptr(),
+            false => {
+                stage[..groups.len()].copy_from_slice(groups);
+                stage.as_ptr()
+            }
+        };
+        Rows { ptr, stride: TK }
+    }
+
+    /// A stack buffer on a cache-line boundary, so no 64-byte tile row of it
+    /// straddles two lines.
+    #[repr(C, align(64))]
+    struct Aligned<T>(T);
+
+    /// `c = (A·B)·rescale` over a packed `B`; same contract as the portable
+    /// kernel, plus `k ≤ VNNI_MAX_K`.
+    ///
+    /// # Safety
+    ///
+    /// [`available`] must have returned `true`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn qgemm(
+        a: &[i8],
+        k: usize,
+        pack: &[i8],
+        n: usize,
+        rescale: f32,
+        c: &mut [f32],
+    ) {
+        // Every check comes before the tiles are configured, so nothing can
+        // panic while they are.
+        assert!(
+            k > 0 && n > 0 && a.len().is_multiple_of(k),
+            "amx qgemm: bad shape"
+        );
+        assert_eq!(c.len(), a.len() / k * n, "amx qgemm: output size");
+        let panels = &pack[..n.div_ceil(QNR) * panel_len(k)];
+        let steps = k.div_ceil(TK);
+        let scale = _mm512_set1_ps(rescale);
+        let mut a_stage = Aligned([[0i8; TILE]; 2]);
+        let mut b_stage = Aligned([[0i8; TILE]; 2]);
+        let mut sums = Aligned([[[0i32; QNR]; TM]; 4]);
+        // SAFETY: passed on from this function's own contract.
+        let tiles = unsafe { Tiles::configure() };
+        for (r0, c_rows) in (0..a.len() / k)
+            .step_by(2 * TM)
+            .zip(c.chunks_mut(2 * TM * n))
+        {
+            let top = &a[r0 * k..];
+            let bottom = top.get(TM * k..).unwrap_or_default();
+            for (pair, j0) in panels.chunks(2 * panel_len(k)).zip((0..n).step_by(2 * QNR)) {
+                let (left, right) = pair.split_at(panel_len(k));
+                let (wide, tall) = (!right.is_empty(), !bottom.is_empty());
+                tiles.zero::<0>();
+                tiles.zero::<1>();
+                tiles.zero::<2>();
+                tiles.zero::<3>();
+                for step in 0..steps {
+                    let [a0, a1] = &mut a_stage.0;
+                    let [b0, b1] = &mut b_stage.0;
+                    tiles.load::<4>(a_tile(top, k, step, a0));
+                    tiles.load::<6>(b_tile(left, step, b0));
+                    tiles.dot::<0, 4, 6>();
+                    if wide {
+                        tiles.load::<7>(b_tile(right, step, b1));
+                        tiles.dot::<1, 4, 7>();
+                    }
+                    if tall {
+                        tiles.load::<5>(a_tile(bottom, k, step, a1));
+                        tiles.dot::<2, 5, 6>();
+                        if wide {
+                            tiles.dot::<3, 5, 7>();
+                        }
+                    }
+                }
+                let [s0, s1, s2, s3] = &mut sums.0;
+                tiles.store::<0>(s0);
+                tiles.store::<1>(s1);
+                tiles.store::<2>(s2);
+                tiles.store::<3>(s3);
+                // The live rows of the top and the bottom C tiles.
+                for (rows, c_tiles) in c_rows.chunks_mut(TM * n).zip(sums.0.chunks_exact(2)) {
+                    for (r, out) in rows.chunks_exact_mut(n).enumerate() {
+                        for (cols, tile) in out[j0..].chunks_mut(QNR).zip(c_tiles) {
+                            dequantize(cols, &tile[r], scale);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `out = sums · rescale` over one C tile row's live columns (the first
+    /// `out.len()`, at most 16), with the VNNI epilogue's instructions: the
+    /// same bits.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn dequantize(out: &mut [f32], sums: &[i32; QNR], rescale: __m512) {
+        let dead = QNR - out.len().min(QNR);
+        let mask: __mmask16 = u16::MAX.checked_shr(dead as u32).unwrap_or(0);
+        // SAFETY: `sums` is the 64 readable bytes the load touches.
+        let sums = unsafe { _mm512_loadu_si512(sums.as_ptr().cast()) };
+        let values = _mm512_mul_ps(_mm512_cvtepi32_ps(sums), rescale);
+        // SAFETY: the mask enables the low `min(out.len(), 16)` lanes, so
+        // the store writes inside `out` and nothing else.
+        unsafe { _mm512_mask_storeu_ps(out.as_mut_ptr(), mask, values) };
+    }
+}
+
 /// A kernel's entry point: `c = (A·B)·rescale` for `a` (`m×k`, `m` implied
 /// by its length), a packed `k×n` `B`, and `k, n > 0`.
 type Kernel = fn(a: &[i8], k: usize, pack: &[i8], n: usize, rescale: f32, c: &mut [f32]);
+
+/// The AMX kernel, on CPUs and kernels that grant it.
+fn amx_kernel() -> Option<Kernel> {
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    if amx::available() {
+        fn entry(a: &[i8], k: usize, pack: &[i8], n: usize, rescale: f32, c: &mut [f32]) {
+            // SAFETY: this function is only handed out two lines below,
+            // after `available` returned `true`.
+            unsafe { amx::qgemm(a, k, pack, n, rescale, c) }
+        }
+        return Some(entry);
+    }
+    None
+}
 
 /// The VNNI kernel, on CPUs that can run it.
 fn vnni_kernel() -> Option<Kernel> {
@@ -344,14 +678,24 @@ fn vnni_kernel() -> Option<Kernel> {
     None
 }
 
-/// The int8 GEMM kernel this process runs: `"avx512-vnni"` on x86-64 CPUs
-/// with AVX-512 VNNI, `"portable"` everywhere else. Detected from the CPU at
-/// run time; there is nothing to configure.
-pub fn int8_kernel() -> &'static str {
-    match vnni_kernel() {
-        Some(_) => "avx512-vnni",
-        None => "portable",
+/// The kernel [`qgemm_packed`] runs for a reduction of length `k`, by name:
+/// the fastest the CPU grants up to `VNNI_MAX_K`, the portable loop beyond.
+fn dispatch(k: usize) -> (&'static str, Kernel) {
+    let fast = amx_kernel()
+        .map(|kernel| ("amx-int8", kernel))
+        .or_else(|| vnni_kernel().map(|kernel| ("avx512-vnni", kernel)));
+    match fast {
+        Some(chosen) if k <= VNNI_MAX_K => chosen,
+        _ => ("portable", qgemm_portable),
     }
+}
+
+/// The int8 GEMM kernel this process runs: `"amx-int8"` on x86-64 Linux
+/// CPUs with AMX-INT8 (when the OS grants the tile state), `"avx512-vnni"`
+/// on other x86-64 CPUs with AVX-512 VNNI, `"portable"` everywhere else.
+/// Detected from the CPU at run time; there is nothing to configure.
+pub fn int8_kernel() -> &'static str {
+    dispatch(1).0
 }
 
 /// Blocked int8 GEMM over a pre-packed `B`: dequantizes the `i32` sums
@@ -368,10 +712,7 @@ fn qgemm_packed(a: &[i8], m: usize, k: usize, pack: &[i8], n: usize, rescale: f3
         c.fill(0.0);
         return;
     }
-    let kernel = vnni_kernel()
-        .filter(|_| k <= VNNI_MAX_K)
-        .unwrap_or(qgemm_portable);
-    kernel(a, k, pack, n, rescale, c);
+    dispatch(k).1(a, k, pack, n, rescale, c);
 }
 
 /// Integer matrix product `a · b` with float rescaling.
@@ -384,22 +725,14 @@ fn qgemm_packed(a: &[i8], m: usize, k: usize, pack: &[i8], n: usize, rescale: f3
 /// Panics if the operands are not rank 2 or inner dimensions differ.
 pub fn qmatmul(a: &QTensor, b: &QTensor) -> Tensor {
     let mut out = Tensor::default();
-    qmatmul_into(a, b, &mut out);
+    qmatmul_with(a, b, &mut Vec::new(), &mut out);
     out
 }
 
 /// [`qmatmul`] writing into a caller-provided output tensor (reshaped in
-/// place, values bit-identical to the allocating path).
-///
-/// # Panics
-///
-/// Panics if the operands are not rank 2 or inner dimensions differ.
-pub fn qmatmul_into(a: &QTensor, b: &QTensor, out: &mut Tensor) {
-    qmatmul_with(a, b, &mut Vec::new(), out);
-}
-
-/// [`qmatmul_into`] staging the packed operand in a caller-owned buffer, so
-/// repeated products perform no heap allocation once the workspace is warm.
+/// place, values bit-identical to the allocating path) and staging the
+/// packed operand in a caller-owned buffer, so repeated products perform no
+/// heap allocation once the workspace is warm.
 ///
 /// # Panics
 ///
@@ -429,22 +762,14 @@ pub fn qmatmul_with(a: &QTensor, b: &QTensor, pack: &mut Vec<i8>, out: &mut Tens
 /// Panics if the operands are not rank 2 or their row widths differ.
 pub fn qmatmul_transb(a: &QTensor, b: &QTensor) -> Tensor {
     let mut out = Tensor::default();
-    qmatmul_transb_into(a, b, &mut out);
+    qmatmul_transb_with(a, b, &mut Vec::new(), &mut out);
     out
 }
 
 /// [`qmatmul_transb`] writing into a caller-provided output tensor
-/// (reshaped in place, values bit-identical to the allocating path).
-///
-/// # Panics
-///
-/// Panics if the operands are not rank 2 or their row widths differ.
-pub fn qmatmul_transb_into(a: &QTensor, b: &QTensor, out: &mut Tensor) {
-    qmatmul_transb_with(a, b, &mut Vec::new(), out);
-}
-
-/// [`qmatmul_transb_into`] staging the packed operand in a caller-owned
-/// buffer (no allocation once warm).
+/// (reshaped in place, values bit-identical to the allocating path) and
+/// staging the packed operand in a caller-owned buffer (no allocation once
+/// warm).
 ///
 /// # Panics
 ///
@@ -732,12 +1057,12 @@ mod tests {
         let b = Tensor::rand_normal(&[100, 70], 0.0, 1.0, &mut rng);
         let (qa, qb) = (QTensor::quantize(&a), QTensor::quantize(&b));
         // Stale differently-shaped buffers must be reshaped and overwritten.
-        let mut out = Tensor::full(&[2, 2], 9.0);
-        qmatmul_into(&qa, &qb, &mut out);
+        let (mut pack, mut out) = (vec![7i8; 3], Tensor::full(&[2, 2], 9.0));
+        qmatmul_with(&qa, &qb, &mut pack, &mut out);
         assert!(out.allclose(&qmatmul(&qa, &qb), 0.0));
         let c = Tensor::rand_normal(&[11, 100], 0.0, 1.0, &mut rng);
         let qc = QTensor::quantize(&c);
-        qmatmul_transb_into(&qa, &qc, &mut out);
+        qmatmul_transb_with(&qa, &qc, &mut pack, &mut out);
         assert!(out.allclose(&qmatmul_transb(&qa, &qc), 0.0));
     }
 
@@ -799,14 +1124,17 @@ mod tests {
         out
     }
 
-    /// Both kernels, or the portable one alone (said loudly) when this CPU
-    /// cannot run the other.
+    /// Every kernel this CPU can run; each one it cannot is said loudly.
     fn kernels() -> Vec<(&'static str, Kernel)> {
         let mut all: Vec<(&'static str, Kernel)> = vec![("portable", qgemm_portable)];
         match vnni_kernel() {
             Some(kernel) => all.push(("avx512-vnni", kernel)),
+            None => eprintln!("SKIPPED: this CPU lacks AVX-512 VNNI, its kernel was not checked"),
+        }
+        match amx_kernel() {
+            Some(kernel) => all.push(("amx-int8", kernel)),
             None => eprintln!(
-                "SKIPPED: this CPU lacks AVX-512 VNNI, only the portable kernel was checked"
+                "SKIPPED: this CPU or OS grants no AMX-INT8 tiles, its kernel was not checked"
             ),
         }
         all
@@ -845,11 +1173,15 @@ mod tests {
     #[test]
     fn both_kernels_match_the_naive_loop_off_the_tile_grid() {
         // Every remainder class: k % 4 ∈ {0,1,2,3} with an odd and an even
-        // number of k-groups, n % 16 ≠ 0, m % 4 ≠ 0, m < 4, empty shapes.
+        // number of k-groups, k around the 64-wide tile step, n % 16 ≠ 0
+        // with an odd and an even number of panels, m % 4 ≠ 0, m < 4, m
+        // around the 16- and 32-row tile blocks, empty shapes.
         let mut rng = StdRng::seed_from_u64(30);
-        let ks = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 16, 31, 64, 197];
+        let ks = [
+            0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 16, 31, 63, 64, 65, 127, 128, 197,
+        ];
         let ns = [0, 1, 15, 16, 17, 33, 64];
-        let ms = [0, 1, 2, 3, 4, 5, 7, 8, 197];
+        let ms = [0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 31, 32, 33, 197];
         for &k in &ks {
             for &n in &ns {
                 for &m in &ms {
@@ -869,7 +1201,7 @@ mod tests {
         // The largest sums DeiT-scale shapes can produce (fc2 at the base
         // width: k = 3072), at both signs: the offset form's partial sums
         // reach k·255·127 here and must still come out exact.
-        let (m, k, n) = (5, 3072, 18);
+        let (m, k, n) = (33, 3072, 18);
         let a = vec![-127i8; m * k];
         for fill in [127i8, -127] {
             let b = vec![fill; k * n];
@@ -885,9 +1217,38 @@ mod tests {
     }
 
     #[test]
+    fn every_kernel_matches_the_naive_loop_at_the_deit_tiny_shapes() {
+        // Projections and fc1 (197×192·192×{192,768}), fc2 (197×768·768×192),
+        // the attention scores (197×64·(197×64)ᵀ) and A·V (197×197·197×64).
+        let mut rng = StdRng::seed_from_u64(33);
+        for (m, k, n) in [
+            (197, 192, 192),
+            (197, 192, 768),
+            (197, 768, 192),
+            (197, 64, 197),
+            (197, 197, 64),
+        ] {
+            let a = int8_matrix(m, k, &mut rng);
+            let b = int8_matrix(k, n, &mut rng);
+            assert_kernels_match_naive(a.data(), b.data(), m, k, n);
+        }
+    }
+
+    #[test]
     fn dispatcher_uses_the_reported_kernel_and_bounds_its_reduction() {
-        assert!(["avx512-vnni", "portable"].contains(&int8_kernel()));
-        assert_eq!(int8_kernel() == "avx512-vnni", vnni_kernel().is_some());
+        let fastest = match (amx_kernel(), vnni_kernel()) {
+            (Some(_), _) => "amx-int8",
+            (None, Some(_)) => "avx512-vnni",
+            (None, None) => "portable",
+        };
+        assert_eq!(int8_kernel(), fastest);
+        // `qgemm_packed` runs `dispatch(k).1`: the kernel named here, at
+        // every DeiT-T reduction and up to the bound, and the portable loop
+        // past it.
+        for k in [1, 16, 48, 64, 192, 197, 768, 3072, VNNI_MAX_K] {
+            assert_eq!(dispatch(k).0, int8_kernel(), "k = {k}");
+        }
+        assert_eq!(dispatch(VNNI_MAX_K + 1).0, "portable");
         // The bound in the module docs: every partial sum of the offset
         // form fits an i32 up to VNNI_MAX_K, and not one step further.
         let worst = |k: usize| k as i64 * (255 * 128 + 128 * 128);

@@ -2,12 +2,15 @@
 //! image through the engine's path (`TokenPolicy::run_with`) costs what its
 //! *result* owns (logits, the per-block token counts) — not a request per
 //! pixel, per attention score, per layer norm, per GEMM or per pruning
-//! stage.
+//! stage — and one warm GEMM at a DeiT-T shape costs nothing.
 //!
 //! A `#[global_allocator]` is process-wide, so this test lives in a binary of
 //! its own and counts on the calling thread only.
 
-use heatvit_quant::{QuantPruneStage, QuantizedViT};
+use heatvit_nn::layers::Linear;
+use heatvit_quant::{
+    qmatmul_transb_with, qmatmul_with, QLinear, QTensor, QuantPruneStage, QuantizedViT,
+};
 use heatvit_tensor::Tensor;
 use heatvit_vit::{PolicyScratch, TokenPolicy, ViTConfig, VisionTransformer};
 use rand::rngs::StdRng;
@@ -96,4 +99,38 @@ fn warm_int8_inference_stays_within_its_heap_budget() {
             "{name}: {requests} heap requests for one warm image (budget {budget})"
         );
     }
+}
+
+#[test]
+fn warm_int8_gemms_at_deit_tiny_shapes_make_no_heap_request() {
+    let mut rng = StdRng::seed_from_u64(1);
+    let tokens = 197;
+    let quantized = |rows, cols, rng: &mut StdRng| {
+        QTensor::quantize(&Tensor::rand_normal(&[rows, cols], 0.0, 1.0, rng))
+    };
+    let (mut pack, mut out) = (Vec::new(), Tensor::default());
+    // Each product twice: the first call sizes `pack` and `out`, the second
+    // is counted. Projections and fc1 reduce over k = 192, fc2 over 768.
+    for (k, n) in [(192, 192), (192, 768), (768, 192)] {
+        let layer = QLinear::from_linear(&Linear::new(k, n, true, &mut rng));
+        let qx = quantized(tokens, k, &mut rng);
+        layer.infer_quantized_into(&qx, &mut out);
+        let ((), requests) = requests_during(|| layer.infer_quantized_into(&qx, &mut out));
+        assert_eq!(requests, 0, "QLinear {tokens}x{k}x{n}");
+    }
+    // Attention: Q·Kᵀ over one head's k = 64, then A·V over k = 197 tokens.
+    let (q, keys) = (
+        quantized(tokens, 64, &mut rng),
+        quantized(tokens, 64, &mut rng),
+    );
+    qmatmul_transb_with(&q, &keys, &mut pack, &mut out);
+    let ((), requests) = requests_during(|| qmatmul_transb_with(&q, &keys, &mut pack, &mut out));
+    assert_eq!(requests, 0, "scores {tokens}x64x{tokens}");
+    let (attn, values) = (
+        quantized(tokens, tokens, &mut rng),
+        quantized(tokens, 64, &mut rng),
+    );
+    qmatmul_with(&attn, &values, &mut pack, &mut out);
+    let ((), requests) = requests_during(|| qmatmul_with(&attn, &values, &mut pack, &mut out));
+    assert_eq!(requests, 0, "A·V {tokens}x{tokens}x64");
 }
