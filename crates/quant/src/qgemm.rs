@@ -4,8 +4,9 @@
 //! back to float by the product of the operand scales. The paper's claimed
 //! ~1.9× speedup from 8-bit quantization comes precisely from packing two
 //! such MACs per DSP slice; the cycle model in `heatvit-fpga` charges it
-//! that way. On a CPU the same packing is AVX-512 VNNI's `vpdpbusd`: four
-//! byte products summed into each of sixteen `i32` lanes per instruction.
+//! that way. On a CPU the same packing is AVX-512 VNNI's `vpdpbusd` (four
+//! byte products summed into each of sixteen `i32` lanes per instruction),
+//! or AMX's `tdpbssd` (one 16×16×64 block of them per instruction).
 //!
 //! # Packed layout
 //!
@@ -17,16 +18,26 @@
 //! ```
 //!
 //! so one k-group is one 64-byte vector holding, for each of the panel's 16
-//! columns, that column's next four `k` values. Columns past `n` and `k`
-//! values past `k` are zero. The header lives in the same `Vec<i8>` (native
-//! byte order), which is why [`qmatmul_with`] still takes one `pack` buffer.
-//! [`qpack_b`] and [`qpack_b_t`] produce the layout from a row-major `B` or
-//! `Bᵀ`; [`QLinear`] does it once, when the layer is built.
+//! columns, that column's next four `k` values, and sixteen consecutive
+//! k-groups are one AMX B tile (16 rows × 64 bytes, 64 `k` values). Columns
+//! past `n` and `k` values past `k` are zero. The header lives in the same
+//! `Vec<i8>` (native byte order), which is why [`qmatmul_with`] still takes
+//! one `pack` buffer. [`qpack_b`] and [`qpack_b_t`] produce the layout from
+//! a row-major `B` or `Bᵀ`; [`QLinear`] does it once, when the layer is
+//! built.
 //!
-//! # Two kernels, one layout
+//! # Three kernels, one layout
 //!
-//! * **AVX-512 VNNI** (x86-64 CPUs that report `avx512f`, `avx512bw` and
-//!   `avx512vnni` at run time): a [`QMR`]`×`[`QNR`] tile of `vpdpbusd`
+//! * **AMX-INT8** (x86-64 Linux CPUs that report AMX-TILE and AMX-INT8 in
+//!   CPUID, once the kernel grants the process the tile data state): a 2×2
+//!   block of 16×16 `i32` C tiles, fed per 64-wide k step by two A tiles
+//!   read straight from `A`'s rows and two B tiles read straight from the
+//!   panels. `tdpbssd` multiplies signed by signed bytes, so it needs no
+//!   offset and ignores the header. A's last rows and B's partial last k
+//!   step are copied into zero-padded stack tiles; nothing is read past
+//!   either operand.
+//! * **AVX-512 VNNI** (other x86-64 CPUs that report `avx512f`, `avx512bw`
+//!   and `avx512vnni` at run time): a [`QMR`]`×`[`QNR`] tile of `vpdpbusd`
 //!   accumulators. The instruction multiplies *unsigned* bytes by signed
 //!   ones, so the kernel feeds it `a ^ 0x80` (`= a + 128` as a `u8`) and
 //!   starts each accumulator at `−128 · colsum[j]` from the panel header:
@@ -34,14 +45,16 @@
 //! * **Portable**: a scalar loop over the same panels, for every other
 //!   target. It ignores the header.
 //!
-//! Which one runs is a fact about the CPU ([`int8_kernel`] names it), not a
-//! setting. Integer accumulation is exact, so both kernels — and any
-//! blocking order — give bit-identical results as long as nothing
+//! Which one runs is a fact about the CPU and the OS ([`int8_kernel`] names
+//! it), not a setting. Integer accumulation is exact, so all three kernels —
+//! and any blocking order — give bit-identical results as long as nothing
 //! overflows: the true sum needs `k · 127² ≤ i32::MAX`, and the offset form
 //! above additionally keeps every partial sum in range while
-//! `k · (255·128 + 128·128) ≤ i32::MAX`, i.e. `k ≤ 43 690`
-//! (`VNNI_MAX_K`; DeiT-T's largest `k` is 768). Longer reductions take the
-//! portable kernel.
+//! `k · (255·128 + 128·128) ≤ i32::MAX`, i.e. `k ≤ 43 690` (`VNNI_MAX_K`;
+//! DeiT-T's largest `k` is 768). Both SIMD kernels share that bound; longer
+//! reductions take the portable kernel. The SIMD kernels dequantize with
+//! the same two instructions (`cvtepi32_ps`, then one multiply by the
+//! rescale), so their float outputs match too.
 
 use crate::qtensor::QTensor;
 use heatvit_tensor::Tensor;
@@ -64,8 +77,8 @@ const GROUP: usize = QNR * QKG;
 /// Bytes in a panel's header of [`QNR`] `i32` column sums.
 const HEADER: usize = QNR * std::mem::size_of::<i32>();
 
-/// Largest reduction length the VNNI kernel accepts: beyond it a partial
-/// sum of the offset form could leave `i32` (see the module docs).
+/// Largest reduction length the SIMD kernels accept: beyond it a partial
+/// sum of VNNI's offset form could leave `i32` (see the module docs).
 const VNNI_MAX_K: usize = i32::MAX as usize / (255 * 128 + 128 * 128);
 
 /// Bytes in one packed panel of a `k`-row operand.
@@ -129,7 +142,10 @@ pub fn qpack_b_t(bt: &[i8], n: usize, k: usize, pack: &mut Vec<i8>) {
         let (header, groups) = panel.split_at_mut(HEADER);
         let mut sums = [0i32; QNR];
         for (c, col) in cols.chunks_exact(k).enumerate() {
-            // Whole words as fixed 4-byte moves, then the last partial one.
+            // Whole words as fixed 4-byte moves (a copy of unknown length
+            // per word is a `memcpy` call), then the last partial one.
+            // `words` leads the zip, so the slot after the last whole word
+            // is still in `slots`.
             let words = col.chunks_exact(QKG);
             let tail = words.remainder();
             let mut slots = groups
@@ -148,8 +164,9 @@ pub fn qpack_b_t(bt: &[i8], n: usize, k: usize, pack: &mut Vec<i8>) {
 }
 
 /// The [`QMR`] rows of one tile of `A` (`a_rows` holds up to [`QMR`] rows of
-/// `k` values). A short last tile repeats its final row, so both kernels
-/// always compute a whole tile and simply do not store the repeats.
+/// `k` values). A short last tile repeats its final row, so the VNNI and
+/// portable kernels always compute a whole tile and simply do not store the
+/// repeats.
 fn tile_rows(a_rows: &[i8], k: usize) -> [&[i8]; QMR] {
     let live = a_rows.len() / k;
     std::array::from_fn(|r| &a_rows[r.min(live - 1) * k..][..k])
