@@ -4,6 +4,30 @@ use crate::{Module, Param, Tape, Var};
 use heatvit_tensor::{mean_var, Tensor};
 use std::ops::Range;
 
+/// Rows whose serial statistics chains advance together, hiding add latency.
+const GROUP: usize = 8;
+
+/// [`mean_var`] of each `dim`-wide row of `x`, bit for bit: each row is its
+/// own ascending chain from `-0.0` (as `Iterator::sum` starts).
+fn group_mean_var(x: &[f32], dim: usize) -> [(f32, f32); GROUP] {
+    let rows: [&[f32]; GROUP] = std::array::from_fn(|r| &x[r * dim..][..dim]);
+    let n = dim as f32;
+    let mut sum = [-0.0f32; GROUP];
+    for j in 0..dim {
+        for (s, row) in sum.iter_mut().zip(rows) {
+            *s += row[j];
+        }
+    }
+    let mean = sum.map(|s| s / n);
+    let mut sq = [-0.0f32; GROUP];
+    for j in 0..dim {
+        for ((s, row), m) in sq.iter_mut().zip(rows).zip(mean) {
+            *s += (row[j] - m) * (row[j] - m);
+        }
+    }
+    std::array::from_fn(|r| (mean[r], sq[r] / n))
+}
+
 /// Layer normalization over the channel (last) dimension with a learnable
 /// affine transform.
 ///
@@ -93,15 +117,31 @@ impl LayerNorm {
     pub fn infer_rows_into(&self, x: &Tensor, rows: Range<usize>, out: &mut Tensor) {
         assert_eq!(x.dim(1), self.dim, "layernorm width mismatch");
         out.reset_unspecified(&[rows.len(), self.dim]);
-        for (o, r) in rows.enumerate() {
-            self.normalize_row(x.row(r), out.row_mut(o));
+        let x = &x.data()[rows.start * self.dim..rows.end * self.dim];
+        self.normalize_rows(x, out.data_mut());
+    }
+
+    /// The `dim`-wide rows of `x` normalized into `out`: the arithmetic
+    /// every inference path shares. Statistics go [`GROUP`] rows at a time;
+    /// the rows after the last whole group take [`mean_var`], the same bits.
+    fn normalize_rows(&self, x: &[f32], out: &mut [f32]) {
+        // A zero-width norm has no values: any chunk size visits none.
+        let dim = self.dim.max(1);
+        let grouped = x.len() / (GROUP * dim) * GROUP;
+        let mut stats = [(0.0, 0.0); GROUP];
+        let rows = x.chunks_exact(dim).zip(out.chunks_exact_mut(dim));
+        for (r, (xr, or)) in rows.enumerate() {
+            if r >= grouped {
+                stats[r % GROUP] = mean_var(xr);
+            } else if r % GROUP == 0 {
+                stats = group_mean_var(&x[r * dim..(r + GROUP) * dim], dim);
+            }
+            self.normalize_row(xr, stats[r % GROUP], or);
         }
     }
 
-    /// One row of [`LayerNorm::infer_into`]: the arithmetic every inference
-    /// path shares.
-    fn normalize_row(&self, x: &[f32], out: &mut [f32]) {
-        let (mean, var) = mean_var(x);
+    /// One row, given its mean and variance.
+    fn normalize_row(&self, x: &[f32], (mean, var): (f32, f32), out: &mut [f32]) {
         let inv_std = 1.0 / (var + self.eps).sqrt();
         let g = self.gamma.value().data();
         let b = self.beta.value().data();
@@ -141,10 +181,9 @@ impl LayerNorm {
         tile_buf.resize(rows_per_tile * cols, 0.0);
         for r0 in (0..rows).step_by(rows_per_tile) {
             let nr = rows_per_tile.min(rows - r0);
-            for (r, trow) in tile_buf.chunks_exact_mut(cols).take(nr).enumerate() {
-                self.normalize_row(x.row(r0 + r), trow);
-            }
-            consume(r0, nr, &tile_buf[..nr * cols]);
+            let tile = &mut tile_buf[..nr * cols];
+            self.normalize_rows(&x.data()[r0 * cols..(r0 + nr) * cols], tile);
+            consume(r0, nr, tile);
         }
     }
 }
@@ -221,6 +260,36 @@ mod tests {
                 got.extend_from_slice(tile);
             });
             assert_eq!(got, expect.data(), "tile height {tile_rows}");
+        }
+    }
+
+    #[test]
+    fn group_statistics_are_bitwise_the_serial_ones() {
+        for width in [1usize, 7, 192] {
+            for rows in 1..=20 {
+                let mut x = Tensor::from_fn(&[rows, width], |ix| {
+                    let v = (ix[0] * 31 + ix[1] * 17) % 23;
+                    (v as f32 - 11.0) * 0.37 + 1e-3 * ix[1] as f32
+                });
+                // An all-negative-zero row sums to -0.0 only from a -0.0 start.
+                x.row_mut(rows / 2).fill(-0.0);
+                let mut ln = LayerNorm::new(width);
+                ln.eps = 0.0;
+                let y = ln.infer(&x);
+                for r in 0..rows {
+                    let (mean, var) = mean_var(x.row(r));
+                    let mut want = vec![0.0; width];
+                    ln.normalize_row(x.row(r), (mean, var), &mut want);
+                    let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(y.row(r)), bits(&want), "{rows}x{width} row {r}");
+                }
+                for (g, group) in x.data().chunks_exact(GROUP * width).enumerate() {
+                    for (r, (mean, var)) in group_mean_var(group, width).into_iter().enumerate() {
+                        let (m, v) = mean_var(x.row(g * GROUP + r));
+                        assert_eq!((mean.to_bits(), var.to_bits()), (m.to_bits(), v.to_bits()));
+                    }
+                }
+            }
         }
     }
 

@@ -25,6 +25,7 @@ pub const DEFAULT_DELTA2: f32 = 0.5;
 ///
 /// With `δ₁ = 1` this is the I-BERT approximation; HeatViT sets `δ₁ < 1`
 /// to regularize quantization error.
+#[inline]
 pub fn erf_approx(x: f32, delta1: f32) -> f32 {
     let clipped = x.abs().min(-ERF_B);
     let val = ERF_A * (clipped + ERF_B) * (clipped + ERF_B) + 1.0;
@@ -33,6 +34,7 @@ pub fn erf_approx(x: f32, delta1: f32) -> f32 {
 
 /// Approximated GELU (paper Eq. 12):
 /// `GELU_aprx(x) = x/2 · (1 + L_erf(x/√2))`.
+#[inline]
 pub fn gelu_approx(x: f32, delta1: f32) -> f32 {
     0.5 * x * (1.0 + erf_approx(x / std::f32::consts::SQRT_2, delta1))
 }
@@ -54,6 +56,7 @@ pub fn gelu_approx_derivative(x: f32, delta1: f32) -> f32 {
 }
 
 /// Polynomial approximation of `exp(p)` on `p ∈ (−ln2, 0]` (paper Eq. 14).
+#[inline]
 pub fn exp_poly(p: f32) -> f32 {
     0.3585 * (p + 1.353) * (p + 1.353) + 0.344
 }
@@ -156,6 +159,7 @@ pub fn softmax_approx_rows_inplace(x: &mut Tensor, delta2: f32) {
 }
 
 /// Piecewise-linear sigmoid (PLAN, Tsmots et al. — paper reference \[46\]).
+#[inline]
 pub fn sigmoid_plan(x: f32) -> f32 {
     let a = x.abs();
     let y = if a >= 5.0 {

@@ -26,6 +26,11 @@
 //! a row-major `B` or `Bᵀ`; [`QLinear`] does it once, when the layer is
 //! built.
 //!
+//! The panels, `A`'s [`QTensor`] storage and a grown output `Tensor` start
+//! on a cache line ([`heatvit_tensor::align_start`]): a 64-byte tile row or
+//! vector split across two lines made the GEMMs up to 2.2× slower. Any
+//! address gives the same bits.
+//!
 //! # Three kernels, one layout
 //!
 //! * **AMX-INT8** (x86-64 Linux CPUs that report AMX-TILE and AMX-INT8 in
@@ -57,7 +62,7 @@
 //! rescale), so their float outputs match too.
 
 use crate::qtensor::QTensor;
-use heatvit_tensor::Tensor;
+use heatvit_tensor::{align_start, Tensor, CACHE_LINE};
 
 /// Rows per int8 microkernel tile (register blocking over `m`).
 pub const QMR: usize = 4;
@@ -100,13 +105,14 @@ fn write_column_sums(header: &mut [i8], sums: &[i32; QNR]) {
 }
 
 /// Packs a row-major `k×n` int8 matrix into the panel layout of the module
-/// docs (zero-padded, column sums in each panel's header).
-pub fn qpack_b(b: &[i8], k: usize, n: usize, pack: &mut Vec<i8>) {
+/// docs (zero-padded, column sums in each panel's header) at `pack[start..]`,
+/// where the returned `start` is on a cache line.
+pub fn qpack_b(b: &[i8], k: usize, n: usize, pack: &mut Vec<i8>) -> usize {
     debug_assert_eq!(b.len(), k * n);
-    pack.clear();
-    pack.resize(qpacked_len(k, n), 0);
+    let start = align_start(pack, qpacked_len(k, n));
+    pack.resize(start + qpacked_len(k, n), 0);
     let zero = [0i8; QNR];
-    for (pi, panel) in pack.chunks_exact_mut(panel_len(k)).enumerate() {
+    for (pi, panel) in pack[start..].chunks_exact_mut(panel_len(k)).enumerate() {
         let j0 = pi * QNR;
         let jn = QNR.min(n - j0);
         let (header, groups) = panel.split_at_mut(HEADER);
@@ -126,19 +132,22 @@ pub fn qpack_b(b: &[i8], k: usize, n: usize, pack: &mut Vec<i8>) {
         }
         write_column_sums(header, &sums);
     }
+    start
 }
 
 /// Packs the transpose of a row-major `n×k` int8 matrix (`bt` stores `Bᵀ`)
-/// into the same panel layout as [`qpack_b`]: a column of `B` is a row of
-/// `bt`, so each k-group of a column is one contiguous 4-byte copy.
-pub fn qpack_b_t(bt: &[i8], n: usize, k: usize, pack: &mut Vec<i8>) {
+/// into the same panel layout, at the same `start`, as [`qpack_b`]: a column
+/// of `B` is a row of `bt`, so each k-group of a column is one contiguous
+/// 4-byte copy.
+pub fn qpack_b_t(bt: &[i8], n: usize, k: usize, pack: &mut Vec<i8>) -> usize {
     debug_assert_eq!(bt.len(), n * k);
-    pack.clear();
-    pack.resize(qpacked_len(k, n), 0);
+    let start = align_start(pack, qpacked_len(k, n));
+    pack.resize(start + qpacked_len(k, n), 0);
     if k == 0 {
-        return;
+        return start;
     }
-    for (panel, cols) in pack.chunks_exact_mut(panel_len(k)).zip(bt.chunks(QNR * k)) {
+    let panels = pack[start..].chunks_exact_mut(panel_len(k));
+    for (panel, cols) in panels.zip(bt.chunks(QNR * k)) {
         let (header, groups) = panel.split_at_mut(HEADER);
         let mut sums = [0i32; QNR];
         for (c, col) in cols.chunks_exact(k).enumerate() {
@@ -161,6 +170,7 @@ pub fn qpack_b_t(bt: &[i8], n: usize, k: usize, pack: &mut Vec<i8>) {
         }
         write_column_sums(header, &sums);
     }
+    start
 }
 
 /// The [`QMR`] rows of one tile of `A` (`a_rows` holds up to [`QMR`] rows of
@@ -176,7 +186,7 @@ fn tile_rows(a_rows: &[i8], k: usize) -> [&[i8]; QMR] {
 /// [`QMR`]`×`[`QNR`] tiles, shaped so the compiler can vectorize it (each
 /// k-group is widened and split into four 16-column planes once per tile,
 /// then scaled by each row's four `a` values). Requires `k > 0` and `n > 0`.
-fn qgemm_portable(a: &[i8], k: usize, pack: &[i8], n: usize, rescale: f32, c: &mut [f32]) {
+fn qgemm_portable(a: &[i8], k: usize, pack: &[i8], n: usize, dq: Dequant, c: &mut [f32]) {
     for (a_rows, out_rows) in a.chunks(QMR * k).zip(c.chunks_mut(QMR * n)) {
         let rows = tile_rows(a_rows, k);
         for (panel, out_cols) in pack.chunks_exact(panel_len(k)).zip((0..n).step_by(QNR)) {
@@ -204,9 +214,16 @@ fn qgemm_portable(a: &[i8], k: usize, pack: &[i8], n: usize, rescale: f32, c: &m
                     }
                 }
             }
+            let cols = out_cols..n.min(out_cols + QNR);
             for (out_row, sums) in out_rows.chunks_exact_mut(n).zip(&acc) {
-                for (o, &v) in out_row[out_cols..].iter_mut().zip(sums) {
-                    *o = v as f32 * rescale;
+                let out = &mut out_row[cols.clone()];
+                for (o, &v) in out.iter_mut().zip(sums) {
+                    *o = v as f32 * dq.rescale;
+                }
+                if let Some(bias) = dq.bias {
+                    for (o, &b) in out.iter_mut().zip(&bias[cols.clone()]) {
+                        *o += b;
+                    }
                 }
             }
         }
@@ -218,11 +235,11 @@ mod vnni {
     //! The AVX-512 VNNI int8 kernel (see the parent module's docs for the
     //! layout and the signed→unsigned offset).
 
-    use super::{panel_len, tile_rows, GROUP, HEADER, QKG, QMR, QNR};
+    use super::{panel_len, tile_rows, Dequant, GROUP, HEADER, QKG, QMR, QNR};
     use std::arch::x86_64::{
-        __m512i, __mmask16, _mm512_add_epi32, _mm512_cvtepi32_ps, _mm512_dpbusd_epi32,
-        _mm512_loadu_si512, _mm512_mask_storeu_ps, _mm512_mul_ps, _mm512_mullo_epi32,
-        _mm512_set1_epi32, _mm512_set1_ps, _mm512_setzero_si512,
+        __m512, __m512i, __mmask16, _mm512_add_epi32, _mm512_add_ps, _mm512_cvtepi32_ps,
+        _mm512_dpbusd_epi32, _mm512_loadu_si512, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps,
+        _mm512_mul_ps, _mm512_mullo_epi32, _mm512_set1_epi32, _mm512_set1_ps, _mm512_setzero_si512,
     };
 
     /// `true` when the running CPU has every feature [`qgemm`] is compiled
@@ -325,29 +342,43 @@ mod vnni {
         sums
     }
 
-    /// `c = (A·B)·rescale` over a packed `B`; same contract as the portable
+    /// `c = dq(A·B)` over a packed `B`; same contract as the portable
     /// kernel, plus `k ≤ VNNI_MAX_K`.
     #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
-    pub(super) fn qgemm(a: &[i8], k: usize, pack: &[i8], n: usize, rescale: f32, c: &mut [f32]) {
-        let scale = _mm512_set1_ps(rescale);
+    pub(super) fn qgemm(a: &[i8], k: usize, pack: &[i8], n: usize, dq: Dequant, c: &mut [f32]) {
+        let scale = _mm512_set1_ps(dq.rescale);
         for (a_rows, out_rows) in a.chunks(QMR * k).zip(c.chunks_mut(QMR * n)) {
             let rows = tile_rows(a_rows, k);
             for (pi, panel) in pack.chunks_exact(panel_len(k)).enumerate() {
-                let j0 = pi * QNR;
-                let width = QNR.min(n - j0);
-                // The low `width` lanes; none if a caller's `pack` held a
-                // panel past column `n`.
-                let mask: __mmask16 = u16::MAX.checked_shr((QNR - width) as u32).unwrap_or(0);
+                let cols = pi * QNR..n.min((pi + 1) * QNR);
+                let bias = dq.bias.map(|b| &b[cols.clone()]);
                 let sums = tile(rows, k, panel);
                 for (out_row, sum) in out_rows.chunks_exact_mut(n).zip(sums) {
-                    let dst = &mut out_row[j0..j0 + width];
-                    let values = _mm512_mul_ps(_mm512_cvtepi32_ps(sum), scale);
-                    // SAFETY: the mask enables exactly `dst.len()` lanes, so
-                    // the store writes `dst` and nothing else.
-                    unsafe { _mm512_mask_storeu_ps(dst.as_mut_ptr(), mask, values) };
+                    dequantize(&mut out_row[cols.clone()], sum, scale, bias);
                 }
             }
         }
+    }
+
+    /// [`Dequant`] of one tile row into its first `min(out.len(), 16)`
+    /// columns; the AMX kernel's epilogue too.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn dequantize(out: &mut [f32], sums: __m512i, scale: __m512, bias: Option<&[f32]>) {
+        let live = out.len().min(QNR);
+        let mask: __mmask16 = u16::MAX.checked_shr((QNR - live) as u32).unwrap_or(0);
+        let mut values = _mm512_mul_ps(_mm512_cvtepi32_ps(sums), scale);
+        if let Some(bias) = bias {
+            let bias = &bias[..live];
+            // SAFETY: the mask enables exactly `bias.len()` lanes, so the
+            // load reads inside `bias` and nothing else.
+            values = _mm512_add_ps(values, unsafe {
+                _mm512_maskz_loadu_ps(mask, bias.as_ptr())
+            });
+        }
+        // SAFETY: the mask enables the low `live ≤ out.len()` lanes, so the
+        // store writes inside `out` and nothing else.
+        unsafe { _mm512_mask_storeu_ps(out.as_mut_ptr(), mask, values) };
     }
 }
 
@@ -362,12 +393,10 @@ mod amx {
     //! `tmm6`/`tmm7` the left and right B tile — and rustc allocates none of
     //! them, so they keep their values between `asm!` blocks.
 
-    use super::{panel_len, GROUP, HEADER, QNR};
+    use super::vnni::dequantize;
+    use super::{panel_len, Dequant, GROUP, HEADER, QNR};
     use std::arch::asm;
-    use std::arch::x86_64::{
-        __cpuid, __cpuid_count, __m512, __mmask16, _mm512_cvtepi32_ps, _mm512_loadu_si512,
-        _mm512_mask_storeu_ps, _mm512_mul_ps, _mm512_set1_ps,
-    };
+    use std::arch::x86_64::{__cpuid, __cpuid_count, _mm512_loadu_si512, _mm512_set1_ps};
     use std::sync::OnceLock;
 
     /// Rows of every tile (A rows, C rows, B k-groups).
@@ -567,7 +596,7 @@ mod amx {
     #[repr(C, align(64))]
     struct Aligned<T>(T);
 
-    /// `c = (A·B)·rescale` over a packed `B`; same contract as the portable
+    /// `c = dq(A·B)` over a packed `B`; same contract as the portable
     /// kernel, plus `k ≤ VNNI_MAX_K`.
     ///
     /// # Safety
@@ -579,7 +608,7 @@ mod amx {
         k: usize,
         pack: &[i8],
         n: usize,
-        rescale: f32,
+        dq: Dequant,
         c: &mut [f32],
     ) {
         // Every check comes before the tiles are configured, so nothing can
@@ -589,9 +618,10 @@ mod amx {
             "amx qgemm: bad shape"
         );
         assert_eq!(c.len(), a.len() / k * n, "amx qgemm: output size");
+        assert!(dq.bias.is_none_or(|b| b.len() >= n), "amx qgemm: bias size");
         let panels = &pack[..n.div_ceil(QNR) * panel_len(k)];
         let steps = k.div_ceil(TK);
-        let scale = _mm512_set1_ps(rescale);
+        let scale = _mm512_set1_ps(dq.rescale);
         let mut a_stage = Aligned([[0i8; TILE]; 2]);
         let mut b_stage = Aligned([[0i8; TILE]; 2]);
         let mut sums = Aligned([[[0i32; QNR]; TM]; 4]);
@@ -636,44 +666,41 @@ mod amx {
                 // The live rows of the top and the bottom C tiles.
                 for (rows, c_tiles) in c_rows.chunks_mut(TM * n).zip(sums.0.chunks_exact(2)) {
                     for (r, out) in rows.chunks_exact_mut(n).enumerate() {
-                        for (cols, tile) in out[j0..].chunks_mut(QNR).zip(c_tiles) {
-                            dequantize(cols, &tile[r], scale);
+                        let live = out[j0..].chunks_mut(QNR).zip((j0..).step_by(QNR));
+                        for ((cols, j), tile) in live.zip(c_tiles) {
+                            let bias = dq.bias.map(|b| &b[j..j + cols.len()]);
+                            // SAFETY: `tile[r]` is the 64 readable bytes the
+                            // load touches.
+                            let row = unsafe { _mm512_loadu_si512(tile[r].as_ptr().cast()) };
+                            dequantize(cols, row, scale, bias);
                         }
                     }
                 }
             }
         }
     }
-
-    /// `out = sums · rescale` over one C tile row's live columns (the first
-    /// `out.len()`, at most 16), with the VNNI epilogue's instructions: the
-    /// same bits.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    fn dequantize(out: &mut [f32], sums: &[i32; QNR], rescale: __m512) {
-        let dead = QNR - out.len().min(QNR);
-        let mask: __mmask16 = u16::MAX.checked_shr(dead as u32).unwrap_or(0);
-        // SAFETY: `sums` is the 64 readable bytes the load touches.
-        let sums = unsafe { _mm512_loadu_si512(sums.as_ptr().cast()) };
-        let values = _mm512_mul_ps(_mm512_cvtepi32_ps(sums), rescale);
-        // SAFETY: the mask enables the low `min(out.len(), 16)` lanes, so
-        // the store writes inside `out` and nothing else.
-        unsafe { _mm512_mask_storeu_ps(out.as_mut_ptr(), mask, values) };
-    }
 }
 
-/// A kernel's entry point: `c = (A·B)·rescale` for `a` (`m×k`, `m` implied
-/// by its length), a packed `k×n` `B`, and `k, n > 0`.
-type Kernel = fn(a: &[i8], k: usize, pack: &[i8], n: usize, rescale: f32, c: &mut [f32]);
+/// Every kernel's epilogue for the `i32` sum of column `j`: `sum as f32 ·
+/// rescale`, then `+ bias[j]` as a second rounding (no FMA, no bias no add).
+#[derive(Clone, Copy)]
+struct Dequant<'a> {
+    rescale: f32,
+    bias: Option<&'a [f32]>,
+}
+
+/// A kernel's entry point: `c = dq(A·B)` for `a` (`m×k`, `m` implied by
+/// its length), a packed `k×n` `B`, and `k, n > 0`.
+type Kernel = fn(a: &[i8], k: usize, pack: &[i8], n: usize, dq: Dequant, c: &mut [f32]);
 
 /// The AMX kernel, on CPUs and kernels that grant it.
 fn amx_kernel() -> Option<Kernel> {
     #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     if amx::available() {
-        fn entry(a: &[i8], k: usize, pack: &[i8], n: usize, rescale: f32, c: &mut [f32]) {
+        fn entry(a: &[i8], k: usize, pack: &[i8], n: usize, dq: Dequant, c: &mut [f32]) {
             // SAFETY: this function is only handed out two lines below,
             // after `available` returned `true`.
-            unsafe { amx::qgemm(a, k, pack, n, rescale, c) }
+            unsafe { amx::qgemm(a, k, pack, n, dq, c) }
         }
         return Some(entry);
     }
@@ -684,11 +711,11 @@ fn amx_kernel() -> Option<Kernel> {
 fn vnni_kernel() -> Option<Kernel> {
     #[cfg(target_arch = "x86_64")]
     if vnni::available() {
-        fn entry(a: &[i8], k: usize, pack: &[i8], n: usize, rescale: f32, c: &mut [f32]) {
+        fn entry(a: &[i8], k: usize, pack: &[i8], n: usize, dq: Dequant, c: &mut [f32]) {
             // SAFETY: this function is only handed out two lines below,
             // after `available` confirmed the CPU features the kernel is
             // compiled for.
-            unsafe { vnni::qgemm(a, k, pack, n, rescale, c) }
+            unsafe { vnni::qgemm(a, k, pack, n, dq, c) }
         }
         return Some(entry);
     }
@@ -715,21 +742,27 @@ pub fn int8_kernel() -> &'static str {
     dispatch(1).0
 }
 
-/// Blocked int8 GEMM over a pre-packed `B`: dequantizes the `i32` sums
-/// straight into the float output (`c = (A·B)·rescale`, rows fully
-/// overwritten).
-fn qgemm_packed(a: &[i8], m: usize, k: usize, pack: &[i8], n: usize, rescale: f32, c: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(c.len(), m * n);
+/// Blocked int8 GEMM over a pre-packed `B`: dequantizes the `i32` sums,
+/// bias included, straight into the float output (`c = dq(A·B)`, rows fully
+/// overwritten; `m = c.len() / n`).
+fn qgemm_packed(a: &[i8], k: usize, pack: &[i8], n: usize, dq: Dequant, c: &mut [f32]) {
     debug_assert_eq!(pack.len(), qpacked_len(k, n));
-    if m == 0 || n == 0 {
+    debug_assert!(dq.bias.is_none_or(|b| b.len() == n));
+    if c.is_empty() {
         return;
     }
+    debug_assert_eq!(a.len(), c.len() / n * k);
     if k == 0 {
-        c.fill(0.0);
+        for (i, o) in c.iter_mut().enumerate() {
+            *o = 0.0 + dq.bias.map_or(0.0, |b| b[i % n]);
+        }
         return;
     }
-    dispatch(k).1(a, k, pack, n, rescale, c);
+    // Not `C`: a reused `Tensor::from_vec` output may start anywhere.
+    let on_line = |p: *const i8| p.addr().is_multiple_of(CACHE_LINE);
+    debug_assert!(on_line(a.as_ptr()), "int8 A off a cache line");
+    debug_assert!(on_line(pack.as_ptr()), "int8 panels off a cache line");
+    dispatch(k).1(a, k, pack, n, dq, c);
 }
 
 /// Integer matrix product `a · b` with float rescaling.
@@ -760,10 +793,11 @@ pub fn qmatmul_with(a: &QTensor, b: &QTensor, pack: &mut Vec<i8>, out: &mut Tens
     let (m, k) = (a.dim(0), a.dim(1));
     let (k2, n) = (b.dim(0), b.dim(1));
     assert_eq!(k, k2, "qmatmul inner dimensions must agree");
-    let rescale = a.params().scale * b.params().scale;
+    let (rescale, bias) = (a.params().scale * b.params().scale, None);
     out.reset_unspecified(&[m, n]);
-    qpack_b(b.data(), k, n, pack);
-    qgemm_packed(a.data(), m, k, pack, n, rescale, out.data_mut());
+    let start = qpack_b(b.data(), k, n, pack);
+    let dq = Dequant { rescale, bias };
+    qgemm_packed(a.data(), k, &pack[start..], n, dq, out.data_mut());
 }
 
 /// Integer matrix product `a · bᵀ` with float rescaling.
@@ -797,10 +831,11 @@ pub fn qmatmul_transb_with(a: &QTensor, b: &QTensor, pack: &mut Vec<i8>, out: &m
     let (m, k) = (a.dim(0), a.dim(1));
     let (n, k2) = (b.dim(0), b.dim(1));
     assert_eq!(k, k2, "qmatmul_transb inner dimensions must agree");
-    let rescale = a.params().scale * b.params().scale;
+    let (rescale, bias) = (a.params().scale * b.params().scale, None);
     out.reset_unspecified(&[m, n]);
-    qpack_b_t(b.data(), n, k, pack);
-    qgemm_packed(a.data(), m, k, pack, n, rescale, out.data_mut());
+    let start = qpack_b_t(b.data(), n, k, pack);
+    let dq = Dequant { rescale, bias };
+    qgemm_packed(a.data(), k, &pack[start..], n, dq, out.data_mut());
 }
 
 /// Quantized linear layer: int8 weight, float bias, dynamic or static
@@ -815,7 +850,7 @@ pub fn qmatmul_transb_with(a: &QTensor, b: &QTensor, pack: &mut Vec<i8>, out: &m
 pub struct QLinear {
     weight: QTensor,
     /// `weight` in the packed panel layout, built at construction.
-    packed: Vec<i8>,
+    packed: Panels,
     bias: Option<Vec<f32>>,
     /// Pre-calibrated activation scale; `None` = dynamic (per-call max-abs).
     activation: Option<crate::QuantParams>,
@@ -826,11 +861,11 @@ impl QLinear {
     /// packs it for the integer GEMM.
     pub fn from_linear(layer: &heatvit_nn::layers::Linear) -> Self {
         let weight = QTensor::quantize(layer.weight().value());
-        let mut packed = Vec::new();
-        qpack_b(weight.data(), weight.dim(0), weight.dim(1), &mut packed);
+        let mut buf = Vec::new();
+        let start = qpack_b(weight.data(), weight.dim(0), weight.dim(1), &mut buf);
         Self {
             weight,
-            packed,
+            packed: Panels { buf, start },
             bias: layer.bias().map(|b| b.value().data().to_vec()),
             activation: None,
         }
@@ -873,7 +908,7 @@ impl QLinear {
     }
 
     /// Runs `x·W + b` through the integer pipeline: quantize activations,
-    /// int8 GEMM, rescale, add float bias.
+    /// int8 GEMM, rescale and add the float bias in its epilogue.
     ///
     /// # Panics
     ///
@@ -914,21 +949,34 @@ impl QLinear {
         let (m, k) = (qx.dim(0), qx.dim(1));
         let n = self.weight.dim(1);
         assert_eq!(k, self.weight.dim(0), "input width mismatch");
-        let rescale = qx.params().scale * self.weight.params().scale;
+        let dq = Dequant {
+            rescale: qx.params().scale * self.weight.params().scale,
+            bias: self.bias.as_deref(),
+        };
         out.reset_unspecified(&[m, n]);
-        qgemm_packed(qx.data(), m, k, &self.packed, n, rescale, out.data_mut());
-        self.add_bias(out);
+        qgemm_packed(qx.data(), k, self.packed.get(), n, dq, out.data_mut());
     }
+}
 
-    fn add_bias(&self, out: &mut Tensor) {
-        if let Some(bias) = &self.bias {
-            let n = out.dim(1);
-            for row in out.data_mut().chunks_mut(n) {
-                for (o, &b) in row.iter_mut().zip(bias.iter()) {
-                    *o += b;
-                }
-            }
-        }
+/// Packed panels at `buf[start..]`, on a cache line, clones included.
+#[derive(Debug)]
+struct Panels {
+    buf: Vec<i8>,
+    start: usize,
+}
+
+impl Panels {
+    fn get(&self) -> &[i8] {
+        &self.buf[self.start..]
+    }
+}
+
+impl Clone for Panels {
+    fn clone(&self) -> Self {
+        let mut buf = Vec::new();
+        let start = align_start(&mut buf, self.get().len());
+        buf.extend_from_slice(self.get());
+        Self { buf, start }
     }
 }
 
@@ -1159,21 +1207,32 @@ mod tests {
 
     fn assert_kernels_match_naive(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) {
         let rescale = 0.037f32;
-        let want = naive(a, b, m, k, n, rescale);
-        let mut pack = Vec::new();
-        qpack_b(b, k, n, &mut pack);
+        let plain = naive(a, b, m, k, n, rescale);
+        // The bias is added to the rounded product, as its own rounding.
+        let bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.31 - 2.7).collect();
+        let biased: Vec<f32> = plain
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| v + bias[i % n])
+            .collect();
+        let mut packed = Vec::new();
+        let start = qpack_b(b, k, n, &mut packed);
+        let pack = &packed[start..];
         assert_eq!(pack.len(), qpacked_len(k, n));
         let shape = format!("{m}x{k}x{n}");
         // Each kernel called directly, bypassing the dispatcher's choice
         // (but not the degenerate shapes it keeps away from them).
         for (name, kernel) in kernels() {
-            let mut got = vec![f32::NAN; m * n];
-            if k == 0 {
-                got.fill(0.0);
-            } else if m > 0 && n > 0 {
-                kernel(a, k, &pack, n, rescale, &mut got);
+            for (bias, want) in [(None, &plain), (Some(&bias[..]), &biased)] {
+                let mut got = vec![f32::NAN; m * n];
+                let dq = Dequant { rescale, bias };
+                if k == 0 {
+                    qgemm_packed(a, k, pack, n, dq, &mut got);
+                } else if m > 0 && n > 0 {
+                    kernel(a, k, pack, n, dq, &mut got);
+                }
+                assert_eq!(&got, want, "{name} {shape} bias: {}", bias.is_some());
             }
-            assert_eq!(got, want, "{name} {shape}");
         }
         // The transposed pack of Bᵀ is the same bytes, header included.
         let mut bt = vec![0i8; n * k];
@@ -1183,8 +1242,8 @@ mod tests {
             }
         }
         let mut pack_t = Vec::new();
-        qpack_b_t(&bt, n, k, &mut pack_t);
-        assert_eq!(pack_t, pack, "qpack_b_t {shape}");
+        let start_t = qpack_b_t(&bt, n, k, &mut pack_t);
+        assert_eq!(&pack_t[start_t..], pack, "qpack_b_t {shape}");
     }
 
     #[test]
@@ -1312,6 +1371,47 @@ mod tests {
             assert_eq!(out.data(), want.data());
             qlayer.infer_quantized_into(&qx, &mut out);
             assert_eq!(out.data(), want.data());
+        }
+    }
+
+    fn on_cache_line<T>(s: &[T]) -> bool {
+        s.as_ptr().addr().is_multiple_of(CACHE_LINE)
+    }
+
+    #[test]
+    fn qlinear_panels_start_on_a_cache_line_also_when_cloned() {
+        let mut rng = StdRng::seed_from_u64(34);
+        for (fan_in, fan_out) in [(192, 768), (768, 192), (30, 21)] {
+            let layer = Linear::new(fan_in, fan_out, true, &mut rng);
+            let qlayer = QLinear::from_linear(&layer);
+            // Clones of clones land wherever the allocator puts them.
+            let copies: Vec<QLinear> = (0..4).map(|_| qlayer.clone().clone()).collect();
+            let x = Tensor::rand_normal(&[9, fan_in], 0.0, 1.0, &mut rng);
+            let want = qlayer.infer(&x);
+            assert!(on_cache_line(qlayer.packed.get()), "{fan_in}x{fan_out}");
+            for copy in &copies {
+                assert!(on_cache_line(copy.packed.get()), "{fan_in}x{fan_out} clone");
+                assert_eq!(copy.packed.get(), qlayer.packed.get());
+                assert_eq!(copy.infer(&x).data(), want.data());
+            }
+        }
+    }
+
+    #[test]
+    fn qmatmul_with_packs_on_a_cache_line() {
+        let mut rng = StdRng::seed_from_u64(35);
+        let mut pack = vec![1i8; 5];
+        let mut out = Tensor::default();
+        for (m, k, n) in [(197, 64, 197), (197, 197, 64), (3, 7, 17)] {
+            let a = int8_matrix(m, k, &mut rng);
+            let b = int8_matrix(k, n, &mut rng);
+            let bt = int8_matrix(n, k, &mut rng);
+            qmatmul_with(&a, &b, &mut pack, &mut out);
+            let start = pack.len() - qpacked_len(k, n);
+            assert!(on_cache_line(&pack[start..]), "{m}x{k}x{n}");
+            qmatmul_transb_with(&a, &bt, &mut pack, &mut out);
+            let start = pack.len() - qpacked_len(k, n);
+            assert!(on_cache_line(&pack[start..]), "{m}x{k}x{n} transb");
         }
     }
 }

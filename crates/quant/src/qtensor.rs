@@ -1,6 +1,6 @@
 //! Quantized tensors and quantization parameters.
 
-use heatvit_tensor::Tensor;
+use heatvit_tensor::{align_start, Tensor};
 
 /// Quantization parameters mapping `f32 ↔ int8`.
 ///
@@ -46,6 +46,7 @@ impl QuantParams {
     }
 
     /// Quantizes one value.
+    #[inline]
     pub fn quantize(&self, x: f32) -> i8 {
         // 1.5·2²³: in its binade an f32 has a unit in the last place of
         // exactly 1, so adding an integer of magnitude ≤ 127 to it is exact
@@ -64,17 +65,30 @@ impl QuantParams {
     }
 
     /// Dequantizes one value.
+    #[inline]
     pub fn dequantize(&self, q: i8) -> f32 {
         q as f32 * self.scale
     }
 }
 
-/// An int8 tensor with its quantization parameters.
-#[derive(Debug, Clone)]
+/// An int8 tensor with its quantization parameters. Its values start on a
+/// cache line ([`heatvit_tensor::align_start`]), clones included.
+#[derive(Debug)]
 pub struct QTensor {
+    /// The values are `data[start..]`; `data[..start]` is padding.
     data: Vec<i8>,
+    start: usize,
     dims: Vec<usize>,
     params: QuantParams,
+}
+
+impl Clone for QTensor {
+    fn clone(&self) -> Self {
+        let mut copy = Self::empty(self.params);
+        copy.start_fill(&self.dims, self.params)
+            .extend_from_slice(self.data());
+        copy
+    }
 }
 
 impl Default for QTensor {
@@ -82,14 +96,23 @@ impl Default for QTensor {
     /// [`QTensor::quantize_with_into`].
     fn default() -> Self {
         Self {
-            data: Vec::new(),
             dims: vec![0],
-            params: QuantParams { scale: 1.0 },
+            ..Self::empty(QuantParams { scale: 1.0 })
         }
     }
 }
 
 impl QTensor {
+    /// No storage and no shape: the start of an allocating constructor.
+    fn empty(params: QuantParams) -> Self {
+        Self {
+            data: Vec::new(),
+            start: 0,
+            dims: Vec::new(),
+            params,
+        }
+    }
+
     /// Quantizes a float tensor with max-abs calibration.
     pub fn quantize(t: &Tensor) -> Self {
         Self::quantize_with(t, QuantParams::observe(t))
@@ -97,11 +120,9 @@ impl QTensor {
 
     /// Quantizes a float tensor with the given parameters.
     pub fn quantize_with(t: &Tensor, params: QuantParams) -> Self {
-        Self {
-            data: t.data().iter().map(|&v| params.quantize(v)).collect(),
-            dims: t.dims().to_vec(),
-            params,
-        }
+        let mut q = Self::empty(params);
+        Self::quantize_with_into(t, params, &mut q);
+        q
     }
 
     /// [`QTensor::quantize_with`] writing into a caller-provided buffer.
@@ -111,34 +132,31 @@ impl QTensor {
     /// `_into` ops backing the engine's allocation-free hot path. Values are
     /// identical to the allocating path.
     pub fn quantize_with_into(t: &Tensor, params: QuantParams, out: &mut QTensor) {
-        out.data.clear();
-        out.data
+        out.start_fill(t.dims(), params)
             .extend(t.data().iter().map(|&v| params.quantize(v)));
-        out.dims.clear();
-        out.dims.extend_from_slice(t.dims());
-        out.params = params;
     }
 
-    /// Begins an incremental refill: installs `dims` and `params`, clears
-    /// the integer storage (keeping its allocation), and hands the caller
+    /// Begins an incremental refill: installs `dims` and `params`, empties
+    /// the integer storage down to the padding that puts the next value on
+    /// a cache line (keeping an allocation that fits), and hands the caller
     /// the backing buffer to push quantized values into — the entry point of
     /// the fused layer-norm + quantize path, which appends one normalized
     /// tile at a time instead of quantizing a materialized float tensor.
     ///
     /// The caller must push exactly `dims.iter().product()` values (each
     /// computed with `params.quantize`) before using the tensor; the kernels
-    /// debug-assert the length.
+    /// debug-assert the length and the alignment.
     pub fn start_fill(&mut self, dims: &[usize], params: QuantParams) -> &mut Vec<i8> {
         self.dims.clear();
         self.dims.extend_from_slice(dims);
         self.params = params;
-        self.data.clear();
+        self.start = align_start(&mut self.data, dims.iter().product());
         &mut self.data
     }
 
     /// The integer data (row-major).
     pub fn data(&self) -> &[i8] {
-        &self.data
+        &self.data[self.start..]
     }
 
     /// The shape.
@@ -163,7 +181,7 @@ impl QTensor {
     /// Reconstructs the float tensor (with quantization error).
     pub fn dequantize(&self) -> Tensor {
         Tensor::from_vec(
-            self.data
+            self.data()
                 .iter()
                 .map(|&q| self.params.dequantize(q))
                 .collect(),
@@ -294,6 +312,35 @@ mod tests {
         assert_eq!(buf.data(), whole.data());
         assert_eq!(buf.dims(), whole.dims());
         assert_eq!(buf.params(), whole.params());
+    }
+
+    fn on_cache_line(q: &QTensor) -> bool {
+        q.data()
+            .as_ptr()
+            .addr()
+            .is_multiple_of(heatvit_tensor::CACHE_LINE)
+    }
+
+    #[test]
+    fn storage_starts_on_a_cache_line() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let params = QuantParams { scale: 0.05 };
+        let mut buf = QTensor::default();
+        for dims in [[1, 1], [197, 192], [3, 5], [197, 768], [197, 192]] {
+            let t = Tensor::rand_normal(&dims, 0.0, 1.0, &mut rng);
+            QTensor::quantize_with_into(&t, params, &mut buf);
+            assert!(on_cache_line(&buf), "quantize_with_into {dims:?}");
+            let whole = QTensor::quantize_with(&t, params);
+            assert!(on_cache_line(&whole), "quantize_with {dims:?}");
+            assert_eq!(buf.data(), whole.data());
+            let fill = buf.start_fill(&dims, params);
+            fill.extend(t.data().iter().map(|&v| params.quantize(v)));
+            assert!(on_cache_line(&buf), "start_fill {dims:?}");
+            assert_eq!(buf.data(), whole.data());
+            let copy = buf.clone();
+            assert!(on_cache_line(&copy), "clone {dims:?}");
+            assert_eq!((copy.data(), copy.dims()), (buf.data(), buf.dims()));
+        }
     }
 
     #[test]

@@ -32,6 +32,7 @@
 
 #![warn(missing_docs)]
 
+mod align;
 mod error;
 mod matmul;
 mod ops;
@@ -41,6 +42,7 @@ pub mod scalar;
 mod shape;
 mod tensor;
 
+pub use align::{align_start, CACHE_LINE};
 pub use error::TensorError;
 pub use matmul::{
     f32_kernel, gemm, gemm_packed, gemm_packed_portable, matmul_transb_views, matmul_views, pack_b,

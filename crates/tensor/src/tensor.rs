@@ -1,6 +1,6 @@
 //! The dense row-major `f32` tensor type.
 
-use crate::{Shape, TensorError};
+use crate::{align_start, Shape, TensorError};
 use std::fmt;
 
 /// A dense, contiguous, row-major tensor of `f32` values.
@@ -20,10 +20,18 @@ use std::fmt;
 /// let c = a.matmul(&b);
 /// assert_eq!(c.data(), a.data());
 /// ```
-#[derive(Clone, PartialEq)]
+#[derive(Clone)]
 pub struct Tensor {
     shape: Shape,
+    /// The values are `data[start..]`, after padding to a cache line.
     data: Vec<f32>,
+    start: usize,
+}
+
+impl PartialEq for Tensor {
+    fn eq(&self, other: &Self) -> bool {
+        self.shape == other.shape && self.data() == other.data()
+    }
 }
 
 // The parallel engine shares `&Tensor` across worker threads and moves owned
@@ -35,11 +43,19 @@ const _: fn() = || {
 };
 
 impl Tensor {
+    fn unpadded(shape: Shape, data: Vec<f32>) -> Self {
+        Self {
+            shape,
+            data,
+            start: 0,
+        }
+    }
+
     /// Creates a tensor of zeros with the given shape.
     pub fn zeros(dims: &[usize]) -> Self {
         let shape = Shape::new(dims);
         let data = vec![0.0; shape.numel()];
-        Self { shape, data }
+        Self::unpadded(shape, data)
     }
 
     /// Creates a tensor of ones with the given shape.
@@ -51,7 +67,7 @@ impl Tensor {
     pub fn full(dims: &[usize], value: f32) -> Self {
         let shape = Shape::new(dims);
         let data = vec![value; shape.numel()];
-        Self { shape, data }
+        Self::unpadded(shape, data)
     }
 
     /// Creates a tensor from a flat `Vec` in row-major order.
@@ -79,7 +95,7 @@ impl Tensor {
                 expected: shape.numel(),
             });
         }
-        Ok(Self { shape, data })
+        Ok(Self::unpadded(shape, data))
     }
 
     /// Creates a tensor by evaluating `f` at every multi-index, in row-major
@@ -100,7 +116,7 @@ impl Tensor {
                 index[axis] = 0;
             }
         }
-        Self { shape, data }
+        Self::unpadded(shape, data)
     }
 
     /// Creates the `n × n` identity matrix.
@@ -134,7 +150,7 @@ impl Tensor {
 
     /// Total number of elements.
     pub fn numel(&self) -> usize {
-        self.data.len()
+        self.data.len() - self.start
     }
 
     /// Size of dimension `axis`.
@@ -148,16 +164,17 @@ impl Tensor {
 
     /// Read-only view of the underlying row-major data.
     pub fn data(&self) -> &[f32] {
-        &self.data
+        &self.data[self.start..]
     }
 
     /// Mutable view of the underlying row-major data.
     pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
+        &mut self.data[self.start..]
     }
 
     /// Consumes the tensor, returning its storage.
-    pub fn into_vec(self) -> Vec<f32> {
+    pub fn into_vec(mut self) -> Vec<f32> {
+        self.data.drain(..self.start);
         self.data
     }
 
@@ -167,7 +184,7 @@ impl Tensor {
     ///
     /// Panics if the index rank or any coordinate is out of bounds.
     pub fn at(&self, index: &[usize]) -> f32 {
-        self.data[self.shape.offset(index)]
+        self.data()[self.shape.offset(index)]
     }
 
     /// Writes the element at a multi-index.
@@ -177,7 +194,7 @@ impl Tensor {
     /// Panics if the index rank or any coordinate is out of bounds.
     pub fn set(&mut self, index: &[usize], value: f32) {
         let off = self.shape.offset(index);
-        self.data[off] = value;
+        self.data_mut()[off] = value;
     }
 
     /// Returns a copy with a new shape holding the same elements.
@@ -194,10 +211,7 @@ impl Tensor {
             self.shape,
             shape
         );
-        Self {
-            shape,
-            data: self.data.clone(),
-        }
+        Self::unpadded(shape, self.data().to_vec())
     }
 
     /// Borrows row `i` of a rank-2 tensor.
@@ -208,7 +222,7 @@ impl Tensor {
     pub fn row(&self, i: usize) -> &[f32] {
         assert_eq!(self.rank(), 2, "row() requires a rank-2 tensor");
         let cols = self.dim(1);
-        &self.data[i * cols..(i + 1) * cols]
+        &self.data()[i * cols..(i + 1) * cols]
     }
 
     /// Mutably borrows row `i` of a rank-2 tensor.
@@ -219,20 +233,18 @@ impl Tensor {
     pub fn row_mut(&mut self, i: usize) -> &mut [f32] {
         assert_eq!(self.rank(), 2, "row_mut() requires a rank-2 tensor");
         let cols = self.dim(1);
-        &mut self.data[i * cols..(i + 1) * cols]
+        &mut self.data_mut()[i * cols..(i + 1) * cols]
     }
 
     /// Applies `f` elementwise, returning a new tensor.
     pub fn map(&self, mut f: impl FnMut(f32) -> f32) -> Self {
-        Self {
-            shape: self.shape.clone(),
-            data: self.data.iter().map(|&x| f(x)).collect(),
-        }
+        let data = self.data().iter().map(|&x| f(x)).collect();
+        Self::unpadded(self.shape.clone(), data)
     }
 
     /// Applies `f` elementwise in place.
     pub fn map_inplace(&mut self, mut f: impl FnMut(f32) -> f32) {
-        for x in &mut self.data {
+        for x in self.data_mut() {
             *x = f(*x);
         }
     }
@@ -248,20 +260,13 @@ impl Tensor {
             "zip_map requires identical shapes ({} vs {})",
             self.shape, other.shape
         );
-        Self {
-            shape: self.shape.clone(),
-            data: self
-                .data
-                .iter()
-                .zip(other.data.iter())
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-        }
+        let data = self.data().iter().zip(other.data());
+        Self::unpadded(self.shape.clone(), data.map(|(&a, &b)| f(a, b)).collect())
     }
 
     /// Fills the tensor with `value`.
     pub fn fill(&mut self, value: f32) {
-        self.data.iter_mut().for_each(|x| *x = value);
+        self.data_mut().fill(value);
     }
 
     /// Reshapes the tensor in place to `dims` and zeroes every element,
@@ -270,11 +275,11 @@ impl Tensor {
     /// This is the scratch-buffer primitive behind the batched inference
     /// path: output tensors owned by a reusable workspace are `reset_zeroed`
     /// instead of freshly allocated, so steady-state batches perform no
-    /// per-image heap allocation for activations.
+    /// per-image heap allocation for activations. Storage that must grow is
+    /// regrown on a cache line (see [`crate::align_start`]).
     pub fn reset_zeroed(&mut self, dims: &[usize]) {
-        self.shape.assign(dims);
-        self.data.clear();
-        self.data.resize(self.shape.numel(), 0.0);
+        self.reset_unspecified(dims);
+        self.data_mut().fill(0.0);
     }
 
     /// Reshapes the tensor in place to `dims` **without** clearing the
@@ -288,12 +293,16 @@ impl Tensor {
     /// [`Tensor::reset_zeroed`] instead.
     pub fn reset_unspecified(&mut self, dims: &[usize]) {
         self.shape.assign(dims);
-        self.data.resize(self.shape.numel(), 0.0);
+        let numel = self.shape.numel();
+        if self.start + numel > self.data.capacity() {
+            self.start = align_start(&mut self.data, numel);
+        }
+        self.data.resize(self.start + numel, 0.0);
     }
 
     /// `true` if any element is NaN or infinite.
     pub fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|x| !x.is_finite())
+        self.data().iter().any(|x| !x.is_finite())
     }
 
     /// Maximum absolute elementwise difference to another tensor.
@@ -303,9 +312,9 @@ impl Tensor {
     /// Panics if shapes differ.
     pub fn max_abs_diff(&self, other: &Self) -> f32 {
         assert_eq!(self.shape, other.shape, "max_abs_diff requires same shapes");
-        self.data
+        self.data()
             .iter()
-            .zip(other.data.iter())
+            .zip(other.data())
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f32::max)
     }
@@ -324,7 +333,7 @@ impl fmt::Debug for Tensor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         const PREVIEW: usize = 8;
         write!(f, "Tensor{} [", self.shape)?;
-        for (i, v) in self.data.iter().take(PREVIEW).enumerate() {
+        for (i, v) in self.data().iter().take(PREVIEW).enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -425,6 +434,38 @@ mod tests {
         t.reset_zeroed(&[5, 5]);
         assert_eq!(t.numel(), 25);
         assert!(t.data().iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn a_grown_reset_buffer_starts_on_a_cache_line() {
+        let mut t = Tensor::default();
+        for dims in [[3, 5], [197, 192], [197, 768]] {
+            t.reset_unspecified(&dims);
+            assert_eq!(t.dims(), &dims);
+            assert_eq!(t.numel(), dims[0] * dims[1]);
+            assert!(t.data().as_ptr().addr().is_multiple_of(crate::CACHE_LINE));
+        }
+        t.reset_zeroed(&[200, 800]);
+        assert!(t.data().as_ptr().addr().is_multiple_of(crate::CACHE_LINE));
+        assert!(t.data().iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn padding_before_the_values_is_invisible() {
+        let values = vec![1.5, -2.0, 0.25, 8.0, -0.0, 3.0];
+        let built = Tensor::from_vec(values.clone(), &[2, 3]);
+        let mut data = vec![9.0; 5];
+        data.extend_from_slice(&values);
+        let padded = Tensor {
+            shape: Shape::new(&[2, 3]),
+            data,
+            start: 5,
+        };
+        assert_eq!(padded, built);
+        assert_eq!(padded.numel(), 6);
+        assert_eq!(padded.row(1), built.row(1));
+        assert_eq!(padded.clone(), built);
+        assert_eq!(padded.into_vec(), values);
     }
 
     #[test]
