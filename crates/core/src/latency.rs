@@ -243,7 +243,8 @@ impl MeasuredEwma {
 
     /// The observed per-image EWMA for a variant, if any execution of it
     /// has been fed back yet (the overall estimate, across batch sizes).
-    pub fn observed(&self, variant: &str) -> Option<Duration> {
+    #[cfg(test)]
+    fn observed(&self, variant: &str) -> Option<Duration> {
         self.state
             .lock()
             .expect("ewma state poisoned")
@@ -253,7 +254,8 @@ impl MeasuredEwma {
 
     /// The observed per-image EWMA of one exact `(variant, batch size)`
     /// bucket, if an execution of that size has been fed back yet.
-    pub fn observed_batch(&self, variant: &str, batch: usize) -> Option<Duration> {
+    #[cfg(test)]
+    fn observed_batch(&self, variant: &str, batch: usize) -> Option<Duration> {
         self.state
             .lock()
             .expect("ewma state poisoned")

@@ -74,9 +74,7 @@ mod latency;
 mod model;
 
 pub use backend::{Backend, BackendKind};
-pub use engine::{
-    BatchOutput, Engine, EngineBuilder, EngineConfig, EngineReport, ThreadCount, MAX_AUTO_THREADS,
-};
+pub use engine::{BatchOutput, Engine, EngineBuilder, EngineReport};
 pub use latency::{rank_by_predicted, CostProfile, LatencyModel, MacProxyModel, MeasuredEwma};
 pub use model::{InferenceModel, ModelOutput};
 

@@ -3,7 +3,7 @@
 //! engine must serve concurrent submitters through `&self`, and the
 //! deprecated constructor shims must keep working.
 
-use heatvit::{Backend, BackendKind, Engine, InferenceModel, ThreadCount};
+use heatvit::{Backend, BackendKind, Engine, InferenceModel};
 use heatvit_quant::{QuantPruneStage, QuantizedViT};
 use heatvit_selector::{PrunedViT, StaticPrunedViT, StaticRule, StaticStage, TokenSelector};
 use heatvit_tensor::Tensor;
@@ -142,25 +142,4 @@ fn shared_engine_serves_concurrent_submitters() {
             });
         }
     });
-}
-
-#[test]
-fn builder_resolves_auto_threads_at_build() {
-    let engine = Engine::builder(backbone(10)).auto_threads().build();
-    assert!(engine.threads() >= 1);
-    assert!(engine.threads() <= heatvit::MAX_AUTO_THREADS);
-    assert_eq!(engine.config().threads, ThreadCount::Auto);
-}
-
-#[test]
-fn set_threads_reconfigures_in_place() {
-    let mut engine = Engine::builder(backbone(11)).build();
-    assert_eq!(engine.threads(), 1);
-    engine.set_threads(3);
-    assert_eq!(engine.threads(), 3);
-    assert_eq!(engine.config().threads, ThreadCount::Fixed(3));
-    let imgs = images(12, 4);
-    let sharded = engine.infer_batch(&imgs);
-    let sequential = Engine::builder(backbone(11)).build().infer_batch(&imgs);
-    assert_eq!(sharded.logits.data(), sequential.logits.data());
 }

@@ -216,7 +216,7 @@ mod tests {
         let profile = CostProfile::dense("dense", &cfg, 0);
         let slow = FpgaCycleModel::new(FpgaConfig {
             clock_mhz: 75.0,
-            ..FpgaConfig::zcu102()
+            ..FpgaConfig::default()
         });
         let fast = model();
         assert!(fast.predict(&profile) > Duration::ZERO);

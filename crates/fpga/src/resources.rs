@@ -38,7 +38,7 @@ pub struct FpgaConfig {
 impl FpgaConfig {
     /// The paper's evaluation device: Xilinx ZCU102 (XCZU9EG — 2520 DSP
     /// slices, 1824 BRAM-18K blocks) at a 150 MHz accelerator clock.
-    pub fn zcu102() -> Self {
+    fn zcu102() -> Self {
         Self {
             clock_mhz: 150.0,
             tile_m: 32,
@@ -69,7 +69,8 @@ impl FpgaConfig {
 
     /// `true` when the geometry fits this configuration's own device
     /// budgets.
-    pub fn fits(&self) -> bool {
+    #[cfg(test)]
+    fn fits(&self) -> bool {
         let r = self.resources();
         r.dsps <= self.dsp_budget && r.bram18 <= self.bram18_budget
     }

@@ -118,7 +118,7 @@ mod tests {
             let xv = tape.constant(x.clone());
             let y = act.forward(&mut tape, xv);
             assert!(
-                tape.value(y).allclose(&act.infer(&x), 1e-6),
+                tape.value(y).max_abs_diff(&act.infer(&x)) <= 1e-6,
                 "mismatch for {act}"
             );
         }

@@ -53,7 +53,7 @@ impl fmt::Debug for PackedWeight {
 ///
 /// // Inference path (no tape):
 /// let y2 = layer.infer(&Tensor::ones(&[3, 8]));
-/// assert!(tape.value(y).allclose(&y2, 1e-6));
+/// assert!(tape.value(y).max_abs_diff(&y2) <= 1e-6);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Linear {
@@ -80,26 +80,6 @@ impl Linear {
         Self {
             weight,
             bias,
-            in_features,
-            out_features,
-            packed: PackedWeight::default(),
-        }
-    }
-
-    /// Creates a layer from explicit tensors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight` is not rank 2 or `bias` length mismatches.
-    pub fn from_tensors(weight: Tensor, bias: Option<Tensor>) -> Self {
-        assert_eq!(weight.rank(), 2, "linear weight must be rank 2");
-        let (in_features, out_features) = (weight.dim(0), weight.dim(1));
-        if let Some(b) = &bias {
-            assert_eq!(b.dims(), &[out_features], "bias must be [out_features]");
-        }
-        Self {
-            weight: Param::new("linear.weight", weight),
-            bias: bias.map(|b| Param::new("linear.bias", b)),
             in_features,
             out_features,
             packed: PackedWeight::default(),
@@ -231,7 +211,7 @@ mod tests {
         let mut tape = Tape::new();
         let xv = tape.constant(x.clone());
         let y = layer.forward(&mut tape, xv);
-        assert!(tape.value(y).allclose(&layer.infer(&x), 1e-6));
+        assert!(tape.value(y).max_abs_diff(&layer.infer(&x)) <= 1e-6);
     }
 
     #[test]
@@ -267,14 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn from_tensors_roundtrip() {
-        let w = Tensor::eye(3);
-        let layer = Linear::from_tensors(w, Some(Tensor::zeros(&[3])));
-        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[1, 3]);
-        assert!(layer.infer(&x).allclose(&x, 0.0));
-    }
-
-    #[test]
     fn packed_weight_is_rebuilt_after_params_mut() {
         let mut rng = StdRng::seed_from_u64(5);
         let mut layer = Linear::new(7, 40, true, &mut rng);
@@ -283,10 +255,11 @@ mod tests {
         assert!(layer.packed.0.get().is_some(), "first use packs the weight");
 
         let new_weight = Tensor::rand_normal(&[7, 40], 0.0, 1.0, &mut rng);
-        *layer.params_mut()[0].value_mut() = new_weight.clone();
+        *layer.params_mut()[0].value_mut() = new_weight;
         assert!(layer.packed.0.get().is_none(), "params_mut drops the pack");
 
-        let fresh = Linear::from_tensors(new_weight, layer.bias().map(|b| b.value().clone()));
+        // A clone taken before any repack holds the new weight and no pack.
+        let fresh = layer.clone();
         let after = layer.infer(&x);
         assert_eq!(after.data(), fresh.infer(&x).data(), "bit for bit");
         assert_ne!(after.data(), before.data(), "the old panels are gone");

@@ -50,11 +50,6 @@ impl Mlp {
         self.fc1.in_features()
     }
 
-    /// Hidden width.
-    pub fn hidden_features(&self) -> usize {
-        self.fc1.out_features()
-    }
-
     /// Output width.
     pub fn out_features(&self) -> usize {
         self.fc2.out_features()
@@ -164,7 +159,7 @@ mod tests {
         let mut tape = Tape::new();
         let xv = tape.constant(x.clone());
         let y = mlp.forward(&mut tape, xv);
-        assert!(tape.value(y).allclose(&mlp.infer(&x), 1e-5));
+        assert!(tape.value(y).max_abs_diff(&mlp.infer(&x)) <= 1e-5);
     }
 
     #[test]

@@ -109,13 +109,6 @@ pub(crate) enum Op {
         /// Saved `softmax(student/T)`.
         student_probs: Tensor,
     },
-    /// Fused mean-squared-error to a constant target.
-    Mse {
-        /// Prediction.
-        x: Var,
-        /// Constant target of the same shape.
-        target: Tensor,
-    },
 }
 
 impl Op {
@@ -142,7 +135,6 @@ impl Op {
             Op::AddConst(a, _) | Op::MulConst(a, _) => vec![*a],
             Op::CrossEntropy { logits, .. } => vec![*logits],
             Op::DistillKl { student, .. } => vec![*student],
-            Op::Mse { x, .. } => vec![*x],
         }
     }
 
@@ -422,12 +414,6 @@ impl Op {
                     .sub(teacher_probs)
                     .scale(g0 * *temperature / batch);
                 vec![(*student, gs)]
-            }
-            Op::Mse { x, target } => {
-                let xv = tape.value(*x);
-                let g0 = grad.data()[0];
-                let gx = xv.sub(target).scale(2.0 * g0 / xv.numel() as f32);
-                vec![(*x, gx)]
             }
         }
     }

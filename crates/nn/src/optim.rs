@@ -57,7 +57,7 @@ impl Sgd {
     /// # Panics
     ///
     /// Panics if `lr <= 0` or `momentum` is outside `[0, 1)`.
-    pub fn with_momentum(lr: f32, momentum: f32, weight_decay: f32) -> Self {
+    fn with_momentum(lr: f32, momentum: f32, weight_decay: f32) -> Self {
         assert!(lr > 0.0, "learning rate must be positive");
         assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
         Self {

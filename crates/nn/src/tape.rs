@@ -103,6 +103,7 @@ impl Tape {
     }
 
     /// Records a differentiable input (a gradient will be computed for it).
+    // Public for the tests in crates/nn/tests/gradcheck.rs and crates/selector, which record inputs with it.
     pub fn leaf(&mut self, value: Tensor) -> Var {
         self.nodes.push(Node {
             value,
@@ -153,22 +154,9 @@ impl Tape {
         self.frozen.extend(ids);
     }
 
-    /// `true` if the parameter id is currently frozen on this tape.
-    pub fn is_frozen(&self, id: u64) -> bool {
-        self.frozen.contains(&id)
-    }
-
     /// `true` if a gradient will be computed for this node.
     pub fn requires_grad(&self, v: Var) -> bool {
         self.nodes[v.0].requires_grad
-    }
-
-    /// Re-records a node's value as a constant: gradient flow stops here.
-    ///
-    /// The straight-through Gumbel-Softmax estimator is built on this.
-    pub fn detach(&mut self, v: Var) -> Var {
-        let value = self.value(v).clone();
-        self.constant(value)
     }
 
     // ----- arithmetic -------------------------------------------------
@@ -460,18 +448,6 @@ impl Tape {
         )
     }
 
-    /// Mean squared error to a constant target.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn mse(&mut self, x: Var, target: Tensor) -> Var {
-        let xv = self.value(x);
-        assert_eq!(xv.dims(), target.dims(), "mse shapes must match");
-        let loss = xv.sub(&target).map(|d| d * d).mean_all();
-        self.push(Tensor::from_vec(vec![loss], &[1]), Op::Mse { x, target })
-    }
-
     // ----- backward --------------------------------------------------------
 
     /// Runs reverse-mode differentiation from `loss` (a `[1]` node).
@@ -553,17 +529,6 @@ mod tests {
     }
 
     #[test]
-    fn detach_stops_gradient() {
-        let mut tape = Tape::new();
-        let x = tape.leaf(Tensor::full(&[1], 3.0));
-        let d = tape.detach(x);
-        let y = tape.mul(x, d); // y = x·const(3)
-        let loss = tape.sum_all(y);
-        let grads = tape.backward(loss);
-        assert_eq!(grads.get(x).unwrap().data(), &[3.0]); // not 6
-    }
-
-    #[test]
     fn write_grads_routes_by_param_id() {
         let p = Param::new("w", Tensor::ones(&[2]));
         let mut q = Param::new("unused", Tensor::ones(&[2]));
@@ -582,7 +547,6 @@ mod tests {
         let p = Param::new("backbone.w", Tensor::ones(&[2, 2]));
         let mut tape = Tape::new();
         tape.freeze_params([p.id()]);
-        assert!(tape.is_frozen(p.id()));
         let w = tape.param(&p);
         assert!(!tape.requires_grad(w));
         let x = tape.leaf(Tensor::ones(&[1, 2]));

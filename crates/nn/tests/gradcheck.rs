@@ -255,11 +255,9 @@ fn gc_losses() {
         t.cross_entropy(v[0], &[0, 2, 1, 0])
     });
     let teacher = Tensor::rand_uniform(&[4, 3], 0.1, 1.0, &mut r).softmax_rows();
-    gradcheck("distill_kl", std::slice::from_ref(&logits), |t, v| {
+    gradcheck("distill_kl", &[logits], |t, v| {
         t.distill_kl(v[0], teacher.clone(), 2.0)
     });
-    let target = Tensor::rand_normal(&[4, 3], 0.0, 1.0, &mut r);
-    gradcheck("mse", &[logits], |t, v| t.mse(v[0], target.clone()));
 }
 
 #[test]

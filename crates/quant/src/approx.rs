@@ -26,7 +26,7 @@ pub const DEFAULT_DELTA2: f32 = 0.5;
 /// With `δ₁ = 1` this is the I-BERT approximation; HeatViT sets `δ₁ < 1`
 /// to regularize quantization error.
 #[inline]
-pub fn erf_approx(x: f32, delta1: f32) -> f32 {
+fn erf_approx(x: f32, delta1: f32) -> f32 {
     let clipped = x.abs().min(-ERF_B);
     let val = ERF_A * (clipped + ERF_B) * (clipped + ERF_B) + 1.0;
     x.signum() * delta1 * val
@@ -57,24 +57,24 @@ pub fn gelu_approx_derivative(x: f32, delta1: f32) -> f32 {
 
 /// Polynomial approximation of `exp(p)` on `p ∈ (−ln2, 0]` (paper Eq. 14).
 #[inline]
-pub fn exp_poly(p: f32) -> f32 {
+fn exp_poly(p: f32) -> f32 {
     0.3585 * (p + 1.353) * (p + 1.353) + 0.344
 }
 
-/// Largest shift count applied by [`exp_shift`]. Beyond 126 bits the true
+/// Largest shift count applied by `exp_shift`. Beyond 126 bits the true
 /// `exp(x̃)` sits below `f32::MIN_POSITIVE` anyway, and `2⁻ᶻ` stops being a
 /// normal `f32` at `z = 127` — so the result is flushed to exactly `0.0`.
 pub const EXP_SHIFT_MAX: f32 = 126.0;
 
 /// Inputs this far below the row max are flushed to exactly `0.0` by
-/// [`softmax_approx_rows`] whatever [`exp_shift`] makes of them. The cutoff
+/// [`softmax_approx_rows`] whatever `exp_shift` makes of them. The cutoff
 /// is `ln(f32::MIN_POSITIVE) ≈ −87.3`: anything below contributes nothing to
 /// a row sum that is always ≥ `exp̃(0) ≈ 1`, and masked attention scores
 /// (`heatvit-vit`'s `MASK_PENALTY = −1e4`) land far past it.
 pub const SOFTMAX_FLUSH: f32 = -87.0;
 
 /// Shift-based approximation of `exp(x̃)` for `x̃ ≤ 0` (paper Section V-D):
-/// decompose `x̃ = −ln2·z + p`, compute `exp(p)` with [`exp_poly`] and apply
+/// decompose `x̃ = −ln2·z + p`, compute `exp(p)` with `exp_poly` and apply
 /// the power of two as a right shift.
 ///
 /// The hardware kernel is only defined on `x̃ ≤ 0` (softmax feeds it
@@ -92,7 +92,7 @@ pub const SOFTMAX_FLUSH: f32 = -87.0;
 /// `floor`/`powi` definition (kept as the tests' reference) on every
 /// `f32`.
 #[inline]
-pub fn exp_shift(x_tilde: f32) -> f32 {
+fn exp_shift(x_tilde: f32) -> f32 {
     // Adding 1.5·2²³ to an integer in [0, 2²²) leaves that integer in the
     // low mantissa bits of the sum.
     const ROUND: f32 = 12_582_912.0;
@@ -160,6 +160,7 @@ pub fn softmax_approx_rows_inplace(x: &mut Tensor, delta2: f32) {
 
 /// Piecewise-linear sigmoid (PLAN, Tsmots et al. — paper reference \[46\]).
 #[inline]
+// Kept for ROADMAP item 3: the 8-bit selector's head-importance sigmoid.
 pub fn sigmoid_plan(x: f32) -> f32 {
     let a = x.abs();
     let y = if a >= 5.0 {
@@ -178,13 +179,8 @@ pub fn sigmoid_plan(x: f32) -> f32 {
     }
 }
 
-/// Applies the approximated GELU elementwise.
-pub fn gelu_approx_tensor(x: &Tensor, delta1: f32) -> Tensor {
-    x.map(|v| gelu_approx(v, delta1))
-}
-
-/// [`gelu_approx_tensor`] overwriting `x` in place — the allocation-free
-/// form used by the quantized engine's scratch workspace.
+/// Applies the approximated GELU elementwise, in place — the
+/// allocation-free form used by the quantized engine's scratch workspace.
 pub fn gelu_approx_inplace(x: &mut Tensor, delta1: f32) {
     x.map_inplace(|v| gelu_approx(v, delta1));
 }
@@ -196,7 +192,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// [`exp_shift`] as first written — `floor`, an early return and a
+    /// `exp_shift` as first written — `floor`, an early return and a
     /// `powi` division: the definition the branch-free form is pinned to.
     fn exp_shift_reference(x_tilde: f32) -> f32 {
         let x = x_tilde.min(0.0);
@@ -571,10 +567,10 @@ mod tests {
         let x = Tensor::from_vec(vec![0.3, -1.2, 2.0, 0.0, -0.4, 1.1], &[2, 3]);
         let mut s = x.clone();
         softmax_approx_rows_inplace(&mut s, 0.5);
-        assert!(s.allclose(&softmax_approx_rows(&x, 0.5), 0.0));
+        assert!(s.max_abs_diff(&softmax_approx_rows(&x, 0.5)) <= 0.0);
         let mut g = x.clone();
         gelu_approx_inplace(&mut g, 0.5);
-        assert!(g.allclose(&gelu_approx_tensor(&x, 0.5), 0.0));
+        assert!(g.max_abs_diff(&x.map(|v| gelu_approx(v, 0.5))) <= 0.0);
     }
 
     #[test]

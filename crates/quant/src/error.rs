@@ -27,6 +27,7 @@ pub struct DerivativePoint {
 /// # Panics
 ///
 /// Panics if `lo >= hi` or `points < 2`.
+// Kept for ROADMAP item 4: the error budget checks Eqs. 15–17 with it.
 pub fn gelu_derivative_curve(lo: f32, hi: f32, points: usize, delta1: f32) -> Vec<DerivativePoint> {
     assert!(lo < hi, "empty sample range");
     assert!(points >= 2, "need at least two samples");
@@ -45,6 +46,7 @@ pub fn gelu_derivative_curve(lo: f32, hi: f32, points: usize, delta1: f32) -> Ve
 /// Empirical error-amplification factor of a scalar function: perturbs `x`
 /// by `±Δe` and reports `|f(x+Δe) − f(x)| / Δe` maximized over the sampled
 /// range — a direct check of Eq. 15.
+// Kept for ROADMAP item 4: the error budget checks Eqs. 15–17 with it.
 pub fn max_error_amplification(f: impl Fn(f32) -> f32, lo: f32, hi: f32, delta_e: f32) -> f32 {
     let mut worst = 0.0f32;
     let steps = 400;
@@ -60,6 +62,7 @@ pub fn max_error_amplification(f: impl Fn(f32) -> f32, lo: f32, hi: f32, delta_e
 /// input `x₀` changes the outputs by at most `2·δ₂·A₀·(1−A₀)·|Δe| < |Δe|`.
 /// Returns the worst observed total output change divided by `|Δe|` over
 /// random rows — must stay below 1.
+// Kept for ROADMAP item 4: the error budget checks Eqs. 15–17 with it.
 pub fn softmax_error_amplification(rows: usize, cols: usize, delta2: f32, seed: u64) -> f32 {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -87,6 +90,7 @@ pub fn softmax_error_amplification(rows: usize, cols: usize, delta2: f32, seed: 
 /// of magnitude `noise` on a tensor, passes both through `f`, and returns
 /// `(mean input error, mean output error)` — regularized functions must not
 /// amplify.
+// Kept for ROADMAP item 4: the error budget checks Eqs. 15–17 with it.
 pub fn noise_propagation(
     f: impl Fn(f32) -> f32,
     input: &Tensor,

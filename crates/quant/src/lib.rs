@@ -30,7 +30,7 @@
 //! use heatvit_tensor::Tensor;
 //!
 //! let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-//! let b = Tensor::eye(2);
+//! let b = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]);
 //! let q = qmatmul(&QTensor::quantize(&a), &QTensor::quantize(&b));
 //! // Int8 roundtrip through an identity GEMM stays within one scale step.
 //! assert!(q.max_abs_diff(&a) <= QTensor::quantize(&a).params().scale);

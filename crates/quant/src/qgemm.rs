@@ -1006,7 +1006,7 @@ mod tests {
         let b = Tensor::from_vec(vec![5.0, 6.0, 7.0, 8.0], &[2, 2]);
         let qa = QTensor::quantize_with(&a, crate::QuantParams { scale: 1.0 });
         let qb = QTensor::quantize_with(&b, crate::QuantParams { scale: 1.0 });
-        assert!(qmatmul(&qa, &qb).allclose(&a.matmul(&b), 0.0));
+        assert!(qmatmul(&qa, &qb).max_abs_diff(&a.matmul(&b)) <= 0.0);
     }
 
     #[test]
@@ -1111,7 +1111,7 @@ mod tests {
         let qbt = QTensor::quantize_with(&b.transpose2(), qb.params());
         let direct = qmatmul_transb(&qa, &qb);
         let via_transpose = qmatmul(&qa, &qbt);
-        assert!(direct.allclose(&via_transpose, 0.0));
+        assert!(direct.max_abs_diff(&via_transpose) <= 0.0);
         assert_eq!(direct.dims(), &[5, 7]);
     }
 
@@ -1124,11 +1124,11 @@ mod tests {
         // Stale differently-shaped buffers must be reshaped and overwritten.
         let (mut pack, mut out) = (vec![7i8; 3], Tensor::full(&[2, 2], 9.0));
         qmatmul_with(&qa, &qb, &mut pack, &mut out);
-        assert!(out.allclose(&qmatmul(&qa, &qb), 0.0));
+        assert!(out.max_abs_diff(&qmatmul(&qa, &qb)) <= 0.0);
         let c = Tensor::rand_normal(&[11, 100], 0.0, 1.0, &mut rng);
         let qc = QTensor::quantize(&c);
         qmatmul_transb_with(&qa, &qc, &mut pack, &mut out);
-        assert!(out.allclose(&qmatmul_transb(&qa, &qc), 0.0));
+        assert!(out.max_abs_diff(&qmatmul_transb(&qa, &qc)) <= 0.0);
     }
 
     #[test]
@@ -1140,11 +1140,11 @@ mod tests {
         let mut qbuf = QTensor::default();
         let mut out = Tensor::default();
         qlayer.infer_into(&x, &mut qbuf, &mut out);
-        assert!(out.allclose(&qlayer.infer(&x), 0.0));
+        assert!(out.max_abs_diff(&qlayer.infer(&x)) <= 0.0);
         // The pre-quantized entry point agrees bitwise as well.
         let mut out2 = Tensor::default();
         qlayer.infer_quantized_into(&qbuf, &mut out2);
-        assert!(out2.allclose(&out, 0.0));
+        assert!(out2.max_abs_diff(&out) <= 0.0);
     }
 
     #[test]
@@ -1412,6 +1412,163 @@ mod tests {
             qmatmul_transb_with(&a, &bt, &mut pack, &mut out);
             let start = pack.len() - qpacked_len(k, n);
             assert!(on_cache_line(&pack[start..]), "{m}x{k}x{n} transb");
+        }
+    }
+
+    /// Test memory that ends (or starts) flush against an inaccessible page,
+    /// so a read or write one element past a slice's end (or before its
+    /// start) ends the test process with SIGSEGV instead of meeting
+    /// whatever the allocator put there. Raw `mmap`/`mprotect`/`munmap`
+    /// system calls on this process's own memory, as the AMX tile request
+    /// does; no `libc` crate is vendored.
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    mod guard {
+        use std::arch::asm;
+
+        const PAGE: usize = 4096;
+
+        /// Which end of the data touches the guard page.
+        #[derive(Clone, Copy, Debug)]
+        pub(super) enum Side {
+            After,
+            Before,
+        }
+
+        /// A system call with up to four arguments (the rest are zero).
+        ///
+        /// # Safety
+        ///
+        /// The call must only act on memory this module mapped.
+        unsafe fn syscall(nr: i64, args: [usize; 4]) -> i64 {
+            let ret: i64;
+            // SAFETY: passed on from the caller; `syscall` clobbers `rcx`
+            // and `r11`, declared.
+            unsafe {
+                asm!(
+                    "syscall",
+                    inlateout("rax") nr => ret,
+                    in("rdi") args[0],
+                    in("rsi") args[1],
+                    in("rdx") args[2],
+                    in("r10") args[3],
+                    in("r8") usize::MAX,
+                    in("r9") 0usize,
+                    lateout("rcx") _,
+                    lateout("r11") _,
+                    options(nostack),
+                );
+            }
+            ret
+        }
+
+        /// A copy of a slice placed flush against a `PROT_NONE` page.
+        pub(super) struct Guarded<T> {
+            base: *mut u8,
+            total: usize,
+            data: *mut T,
+            len: usize,
+        }
+
+        impl<T: Copy> Guarded<T> {
+            pub(super) fn new(values: &[T], side: Side) -> Self {
+                const SYS_MMAP: i64 = 9;
+                const SYS_MPROTECT: i64 = 10;
+                const PROT_READ_WRITE: usize = 0x3;
+                const MAP_PRIVATE_ANONYMOUS: usize = 0x22;
+                let bytes = std::mem::size_of_val(values);
+                let total = bytes.div_ceil(PAGE) * PAGE + PAGE;
+                // SAFETY: a fresh anonymous mapping; no existing memory is
+                // touched.
+                let base = unsafe {
+                    syscall(SYS_MMAP, [0, total, PROT_READ_WRITE, MAP_PRIVATE_ANONYMOUS])
+                };
+                assert!(base > 0, "mmap failed: {base}");
+                let base = base as usize;
+                let (guard, start) = match side {
+                    Side::After => (base + total - PAGE, base + total - PAGE - bytes),
+                    Side::Before => (base, base + PAGE),
+                };
+                assert!(start.is_multiple_of(std::mem::align_of::<T>()));
+                // SAFETY: the guard page lies inside the mapping above.
+                let ret = unsafe { syscall(SYS_MPROTECT, [guard, PAGE, 0, 0]) };
+                assert_eq!(ret, 0, "mprotect failed");
+                let data = start as *mut T;
+                // SAFETY: `start..start + bytes` is readable and writable
+                // mapped memory, aligned for `T`, owned by this value.
+                unsafe { std::ptr::copy_nonoverlapping(values.as_ptr(), data, values.len()) };
+                Self {
+                    base: base as *mut u8,
+                    total,
+                    data,
+                    len: values.len(),
+                }
+            }
+
+            pub(super) fn get(&self) -> &[T] {
+                // SAFETY: `new` initialized `len` values at `data`.
+                unsafe { std::slice::from_raw_parts(self.data, self.len) }
+            }
+
+            pub(super) fn get_mut(&mut self) -> &mut [T] {
+                // SAFETY: as in `get`, and `&mut self` makes it unique.
+                unsafe { std::slice::from_raw_parts_mut(self.data, self.len) }
+            }
+        }
+
+        impl<T> Drop for Guarded<T> {
+            fn drop(&mut self) {
+                const SYS_MUNMAP: i64 = 11;
+                // SAFETY: unmaps exactly the mapping `new` made. A failure
+                // only leaks the mapping; `drop` must not panic.
+                unsafe { syscall(SYS_MUNMAP, [self.base as usize, self.total, 0, 0]) };
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    fn kernels_and_packers_stay_inside_their_operands() {
+        use guard::{Guarded, Side};
+        // The remainder classes of the tile tests above: k around the
+        // 4-wide k-group and the 64-wide AMX step, n around the 16-wide
+        // panel, m around the 4-row tile and the 16- and 32-row AMX blocks.
+        let mut rng = StdRng::seed_from_u64(36);
+        let kernels = kernels();
+        let rescale = 0.037f32;
+        for k in [1, 2, 3, 4, 5, 7, 13, 16, 31, 63, 64, 65, 127, 128] {
+            for n in [1, 15, 16, 17, 33] {
+                for m in [1, 2, 3, 4, 5, 15, 16, 17, 31, 32, 33] {
+                    let a = int8_matrix(m, k, &mut rng);
+                    let b = int8_matrix(k, n, &mut rng);
+                    let bt = int8_matrix(n, k, &mut rng);
+                    let want = naive(a.data(), b.data(), m, k, n, rescale);
+                    let mut pack = Vec::new();
+                    let start = qpack_b(b.data(), k, n, &mut pack);
+                    let mut pack_t = Vec::new();
+                    let start_t = qpack_b_t(bt.data(), n, k, &mut pack_t);
+                    let shape = format!("{m}x{k}x{n}");
+                    for side in [Side::After, Side::Before] {
+                        let (gb, gbt) =
+                            (Guarded::new(b.data(), side), Guarded::new(bt.data(), side));
+                        let mut again = Vec::new();
+                        let s = qpack_b(gb.get(), k, n, &mut again);
+                        assert_eq!(again[s..], pack[start..], "qpack_b {shape} {side:?}");
+                        let s = qpack_b_t(gbt.get(), n, k, &mut again);
+                        assert_eq!(again[s..], pack_t[start_t..], "qpack_b_t {shape} {side:?}");
+                        let ga = Guarded::new(a.data(), side);
+                        let gp = Guarded::new(&pack[start..], side);
+                        for (name, kernel) in &kernels {
+                            let mut gc = Guarded::new(&vec![f32::NAN; m * n], side);
+                            let dq = Dequant {
+                                rescale,
+                                bias: None,
+                            };
+                            kernel(ga.get(), k, gp.get(), n, dq, gc.get_mut());
+                            assert_eq!(gc.get(), &want[..], "{name} {shape} {side:?}");
+                        }
+                    }
+                }
+            }
         }
     }
 }

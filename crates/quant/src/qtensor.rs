@@ -119,13 +119,13 @@ impl QTensor {
     }
 
     /// Quantizes a float tensor with the given parameters.
-    pub fn quantize_with(t: &Tensor, params: QuantParams) -> Self {
+    pub(crate) fn quantize_with(t: &Tensor, params: QuantParams) -> Self {
         let mut q = Self::empty(params);
         Self::quantize_with_into(t, params, &mut q);
         q
     }
 
-    /// [`QTensor::quantize_with`] writing into a caller-provided buffer.
+    /// Quantizes `t` with `params` into a caller-provided buffer.
     ///
     /// `out`'s integer storage is reused (no allocation once warm) and its
     /// shape/parameters are overwritten — the int8 analogue of the float
@@ -188,11 +188,6 @@ impl QTensor {
             &self.dims,
         )
     }
-
-    /// Worst-case elementwise reconstruction error of this tensor.
-    pub fn max_quant_error(&self, original: &Tensor) -> f32 {
-        self.dequantize().max_abs_diff(original)
-    }
 }
 
 /// Round-trips a tensor through int8 ("fake quantization") — the standard
@@ -213,7 +208,7 @@ mod tests {
         let t = Tensor::rand_normal(&[32, 32], 0.0, 1.0, &mut rng);
         let q = QTensor::quantize(&t);
         // Everything inside the calibrated range errs by ≤ scale/2.
-        assert!(q.max_quant_error(&t) <= q.params().scale * 0.5 + 1e-7);
+        assert!(q.dequantize().max_abs_diff(&t) <= q.params().scale * 0.5 + 1e-7);
     }
 
     #[test]
@@ -227,7 +222,7 @@ mod tests {
     fn zero_tensor_is_stable() {
         let t = Tensor::zeros(&[4, 4]);
         let q = QTensor::quantize(&t);
-        assert!(q.dequantize().allclose(&t, 0.0));
+        assert!(q.dequantize().max_abs_diff(&t) <= 0.0);
     }
 
     #[test]

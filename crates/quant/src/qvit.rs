@@ -386,7 +386,6 @@ pub struct QuantizedViT {
     /// every stage as keeping everything" (conservative). Same length as
     /// `stages` once declared.
     nominal_keep: Vec<f32>,
-    calibrated: bool,
 }
 
 // Serving worker pools own models and move them across threads; a future
@@ -427,7 +426,6 @@ impl QuantizedViT {
             delta2: 1.0,
             stages: Vec::new(),
             nominal_keep: Vec::new(),
-            calibrated: false,
         }
     }
 
@@ -495,15 +493,10 @@ impl QuantizedViT {
     }
 
     /// Overrides the regularization factors `δ₁` (GELU) and `δ₂` (softmax).
+    // Kept for ROADMAP item 7a: approximation-aware finetuning sets δ = 0.5.
     pub fn set_deltas(&mut self, delta1: f32, delta2: f32) {
         self.delta1 = delta1;
         self.delta2 = delta2;
-    }
-
-    /// `true` once [`QuantizedViT::calibrate`] has recorded static
-    /// activation scales.
-    pub fn is_calibrated(&self) -> bool {
-        self.calibrated
     }
 
     /// Records static activation [`QuantParams`] for every quantization site
@@ -529,7 +522,6 @@ impl QuantizedViT {
         for (block, c) in self.blocks.iter_mut().zip(calib.blocks.iter()) {
             block.apply_calibration(c);
         }
-        self.calibrated = true;
     }
 
     /// Classifies one image through the integer pipeline
@@ -709,10 +701,8 @@ mod tests {
     #[test]
     fn calibration_freezes_static_scales() {
         let (_, mut qmodel, mut rng) = float_and_quant(2);
-        assert!(!qmodel.is_calibrated());
         let batch: Vec<Tensor> = (0..4).map(|_| image(&mut rng)).collect();
         qmodel.calibrate(&batch);
-        assert!(qmodel.is_calibrated());
         // Calibrated inference is deterministic and still classifies.
         let img = image(&mut rng);
         let a = qmodel.infer(&img);

@@ -305,7 +305,7 @@ mod tests {
         let mut tape = Tape::new();
         let xv = tape.constant(x.clone());
         let out = c.forward(&mut tape, xv);
-        assert!(tape.value(out.scores).allclose(&c.infer(&x), 1e-4));
+        assert!(tape.value(out.scores).max_abs_diff(&c.infer(&x)) <= 1e-4);
         assert_eq!(out.head_scores.len(), 3);
         assert_eq!(tape.dims(out.head_weights), &[5, 3]);
     }

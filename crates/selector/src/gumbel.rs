@@ -23,7 +23,7 @@ impl Default for GumbelConfig {
 }
 
 /// One sample from the standard Gumbel distribution.
-pub fn sample_gumbel(rng: &mut impl Rng) -> f32 {
+fn sample_gumbel(rng: &mut impl Rng) -> f32 {
     let u: f32 = rng.gen_range(1e-9..1.0f32);
     -(-u.ln()).ln()
 }

@@ -49,7 +49,6 @@ pub struct PrunedTrainOutput {
 pub struct PrunedViT {
     backbone: VisionTransformer,
     selectors: Vec<Option<TokenSelector>>,
-    package_enabled: bool,
     /// Nominal keep ratio in force from each block on (fraction of the
     /// original patch tokens), used for cost prediction only — the
     /// selectors decide the actual per-image keep set.
@@ -67,7 +66,6 @@ impl PrunedViT {
         Self {
             backbone,
             selectors: (0..depth).map(|_| None).collect(),
-            package_enabled: true,
             nominal_keep: vec![1.0; depth],
         }
     }
@@ -77,15 +75,10 @@ impl PrunedViT {
         &self.backbone
     }
 
-    /// Enables or disables the token packager (the Fig. 12 "discard"
-    /// ablation sets this to `false`).
-    pub fn set_package_enabled(&mut self, enabled: bool) {
-        self.package_enabled = enabled;
-    }
-
-    /// Whether pruned tokens are packaged rather than discarded.
+    /// Whether pruned tokens are packaged rather than discarded: always,
+    /// the paper's Eq. 10 package token.
     pub fn package_enabled(&self) -> bool {
-        self.package_enabled
+        true
     }
 
     /// Installs `selector` in front of block `block`.
@@ -112,19 +105,8 @@ impl PrunedViT {
             .collect()
     }
 
-    /// Parameters of the installed selectors only, in block order — what the
-    /// selector-tuning phase of the training loop steps while the backbone
-    /// stays frozen at its (teacher) weights.
-    pub fn selector_params(&self) -> Vec<&Param> {
-        self.selectors
-            .iter()
-            .flatten()
-            .flat_map(|s| s.params())
-            .collect()
-    }
-
-    /// Mutable access to the selector parameters only (see
-    /// [`PrunedViT::selector_params`]).
+    /// Mutable access to the selector parameters only, in block order (the
+    /// backbone's are not included).
     pub fn selector_params_mut(&mut self) -> Vec<&mut Param> {
         self.selectors
             .iter_mut()
@@ -186,12 +168,8 @@ impl PrunedViT {
                 let kept_mask = tape.reshape(kept_mask, &[kept.len()]);
                 let kept_tokens = tape.mul_col_broadcast(kept_tokens, kept_mask);
                 let mut parts = vec![cls, kept_tokens];
-                if self.package_enabled {
-                    if let Some(p) =
-                        package_tokens_tape(tape, patches, decision.keep_scores, &pruned)
-                    {
-                        parts.push(p);
-                    }
+                if let Some(p) = package_tokens_tape(tape, patches, decision.keep_scores, &pruned) {
+                    parts.push(p);
                 }
                 tokens = tape.concat_rows(&parts);
             }
@@ -266,16 +244,14 @@ impl TokenPolicy for PrunedViT {
         ws.scores = keep_scores;
     }
 
-    /// Packages the pruned rows into one token (paper Eq. 10), unless the
-    /// packager is disabled.
+    /// Packages the pruned rows into one token (paper Eq. 10).
     fn consolidate(
         &self,
         stage: &StageInput<'_>,
         _kept_rows: &mut Tensor,
         ws: &mut StageScratch,
     ) -> bool {
-        self.package_enabled
-            && package_tokens_into(stage.patches, &ws.order, &ws.scores, &mut ws.package)
+        package_tokens_into(stage.patches, &ws.order, &ws.scores, &mut ws.package)
     }
 
     /// The declared nominal keep of `block` (the selectors decide per
@@ -283,7 +259,7 @@ impl TokenPolicy for PrunedViT {
     /// without declarations).
     fn stage_tokens(&self, block: usize, _tokens: usize) -> usize {
         let patches = self.backbone.config().num_patches();
-        nominal_tokens(self.nominal_keep[block], patches, self.package_enabled)
+        nominal_tokens(self.nominal_keep[block], patches, true)
     }
 
     fn plan_is_exact(&self) -> bool {
@@ -343,7 +319,7 @@ mod tests {
         let model = PrunedViT::new(backbone);
         let image = Tensor::rand_uniform(&[3, 16, 16], 0.0, 1.0, &mut rng);
         let out = model.infer(&image);
-        assert!(out.logits.allclose(&model.backbone().infer(&image), 1e-5));
+        assert!(out.logits.max_abs_diff(&model.backbone().infer(&image)) <= 1e-5);
         assert!(out.keep_fractions.is_empty());
     }
 
@@ -423,12 +399,11 @@ mod tests {
             .map(|s| s.params().len())
             .sum();
         assert!(expected > 0);
-        assert_eq!(model.selector_params().len(), expected);
         assert_eq!(model.selector_params_mut().len(), expected);
         // Selector params are disjoint from the backbone's.
         let backbone_ids: std::collections::HashSet<u64> =
             model.backbone().params().iter().map(|p| p.id()).collect();
-        for p in model.selector_params() {
+        for p in model.selector_params_mut() {
             assert!(!backbone_ids.contains(&p.id()));
         }
     }
@@ -459,20 +434,6 @@ mod tests {
                 "selector at block {b}: only {with_grad}/{} params got grads",
                 sel.params().len()
             );
-        }
-    }
-
-    #[test]
-    fn discard_mode_omits_package_token() {
-        let (mut model, mut rng) = pruned_model(5);
-        let image = Tensor::rand_uniform(&[3, 32, 32], 0.0, 1.0, &mut rng);
-        let with_package = model.infer(&image);
-        model.set_package_enabled(false);
-        let without = model.infer(&image);
-        // If anything was pruned, discard mode has one token fewer.
-        let s1 = with_package.keep_fractions[0];
-        if s1 < 1.0 {
-            assert!(without.tokens_per_block[2] < with_package.tokens_per_block[2]);
         }
     }
 

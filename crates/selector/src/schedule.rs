@@ -52,31 +52,6 @@ impl PruningSchedule {
         Self { placements }
     }
 
-    /// The paper's canonical three-stage layout: selectors at `depth/4`,
-    /// `depth/2` and `3·depth/4` (blocks 3/6/9 on a 12-block DeiT) with the
-    /// given cumulative keep ratios.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth < 4` or ratios are not non-increasing in `(0, 1]`.
-    pub fn three_stage(depth: usize, ratios: [f32; 3]) -> Self {
-        assert!(depth >= 4, "need at least 4 blocks for three stages");
-        Self::new(vec![
-            SelectorPlacement {
-                block: depth / 4,
-                target_keep: ratios[0],
-            },
-            SelectorPlacement {
-                block: depth / 2,
-                target_keep: ratios[1],
-            },
-            SelectorPlacement {
-                block: 3 * depth / 4,
-                target_keep: ratios[2],
-            },
-        ])
-    }
-
     /// The placements, in block order.
     pub fn placements(&self) -> &[SelectorPlacement] {
         &self.placements
@@ -93,6 +68,7 @@ impl PruningSchedule {
     }
 
     /// Cumulative keep ratio in force at each block.
+    // Public for the tests in crates/train/tests/determinism.rs.
     pub fn keep_per_block(&self, depth: usize) -> Vec<f32> {
         let mut keep = vec![1.0f32; depth];
         for p in &self.placements {
@@ -169,16 +145,20 @@ impl PruningSchedule {
 mod tests {
     use super::*;
 
-    #[test]
-    fn three_stage_places_at_quarter_points() {
-        let s = PruningSchedule::three_stage(12, [0.7, 0.39, 0.21]);
-        let blocks: Vec<usize> = s.placements().iter().map(|p| p.block).collect();
-        assert_eq!(blocks, vec![3, 6, 9]);
+    /// Selectors at blocks 3, 6 and 9 of a 12-block model, the paper's
+    /// three-stage layout, with the given cumulative keep ratios.
+    fn three_stage(ratios: [f32; 3]) -> PruningSchedule {
+        let place = |block, target_keep| SelectorPlacement { block, target_keep };
+        PruningSchedule::new(vec![
+            place(3, ratios[0]),
+            place(6, ratios[1]),
+            place(9, ratios[2]),
+        ])
     }
 
     #[test]
     fn keep_per_block_is_step_function() {
-        let s = PruningSchedule::three_stage(12, [0.7, 0.39, 0.21]);
+        let s = three_stage([0.7, 0.39, 0.21]);
         let keep = s.keep_per_block(12);
         assert_eq!(keep[0], 1.0);
         assert_eq!(keep[3], 0.7);
@@ -190,7 +170,7 @@ mod tests {
     fn tokens_match_table_vi_shape() {
         // DeiT-S, 0.70/0.39/0.21: first stage keeps ceil(0.7·196)+2 tokens.
         let cfg = heatvit_vit::ViTConfig::deit_small();
-        let s = PruningSchedule::three_stage(12, [0.7, 0.39, 0.21]);
+        let s = three_stage([0.7, 0.39, 0.21]);
         let t = s.tokens_per_block(&cfg);
         assert_eq!(t[0], 197);
         assert_eq!(t[3], 140); // ceil(137.2)=138 kept + cls + package
@@ -221,7 +201,7 @@ mod tests {
 
     #[test]
     fn merge_keeps_distinct_stages() {
-        let s = PruningSchedule::three_stage(12, [0.9, 0.6, 0.3]);
+        let s = three_stage([0.9, 0.6, 0.3]);
         assert_eq!(s.merge_similar(0.085).len(), 3);
     }
 
@@ -254,7 +234,7 @@ mod tests {
     #[test]
     fn macs_weighted_keep_discounts_pruned_blocks() {
         let cfg = heatvit_vit::ViTConfig::deit_small();
-        let s = PruningSchedule::three_stage(12, [0.7, 0.39, 0.21]);
+        let s = three_stage([0.7, 0.39, 0.21]);
         let unweighted = s.mean_keep(cfg.depth);
         let weighted = s.macs_weighted_keep(&cfg);
         // Pruned blocks execute fewer MACs, so they carry less weight and

@@ -87,12 +87,7 @@ impl TokenSelector {
 
     /// Creates a selector with a custom classifier activation
     /// (ReLU / Hardswish for the Fig. 12 ablation).
-    pub fn with_activation(
-        dim: usize,
-        num_heads: usize,
-        act: Activation,
-        rng: &mut impl Rng,
-    ) -> Self {
+    fn with_activation(dim: usize, num_heads: usize, act: Activation, rng: &mut impl Rng) -> Self {
         Self {
             classifier: MultiHeadTokenClassifier::new(dim, num_heads, act, rng),
             gumbel: GumbelConfig::default(),

@@ -219,10 +219,12 @@ mod tests {
         }];
         let m1 = StaticPrunedViT::new(b1, stage.clone(), StaticRule::Random, 7);
         let m2 = StaticPrunedViT::new(b2, stage, StaticRule::Random, 7);
-        assert!(m1
-            .infer(&image)
-            .logits
-            .allclose(&m2.infer(&image).logits, 0.0));
+        assert!(
+            m1.infer(&image)
+                .logits
+                .max_abs_diff(&m2.infer(&image).logits)
+                <= 0.0
+        );
     }
 
     #[test]

@@ -19,11 +19,10 @@
 //!   **idle** ([`FlushReason`]); requests that arrive while a batch runs
 //!   form the next one, so batches grow with load and no timer is needed;
 //!   shutdown *drains* — every accepted request is served;
-//! * multi-lane scale-out — [`LaneAssignment`] homes each service level on
-//!   a lane (int8 and float traffic batch independently instead of
+//! * multi-lane scale-out — service level *i* homes on lane *i* mod the
+//!   lane count (int8 and float traffic batch independently instead of
 //!   serializing on one batcher), and idle lanes *steal* surplus backlog
-//!   from the deepest lane ([`StealPolicy`], flushes tagged
-//!   [`FlushReason::Steal`]);
+//!   from the deepest lane (flushes tagged [`FlushReason::Steal`]);
 //! * telemetry — every observation lands lock-free in a
 //!   `heatvit::telemetry` [`Registry`](heatvit::telemetry::Registry)
 //!   ([`metrics::names`] is the stable name contract) with per-request
@@ -92,6 +91,4 @@ mod server;
 pub use report::Stats;
 pub use report::{ClassReport, FlushCounts, FlushReason, ServeReport};
 pub use request::{InferRequest, InferResponse, Priority, SubmitError, Ticket};
-pub use server::{
-    LaneAssignment, LaneCount, ServeConfig, Server, SloPolicy, StealPolicy, MAX_AUTO_LANES,
-};
+pub use server::{LaneCount, ServeConfig, Server, SloPolicy};

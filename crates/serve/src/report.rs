@@ -26,8 +26,8 @@ pub enum FlushReason {
     Idle,
     /// The server is draining at shutdown (no request is dropped).
     Shutdown,
-    /// An idle lane stole this batch off a backlogged lane's queue
-    /// ([`crate::StealPolicy`]).
+    /// An idle lane stole this batch off a backlogged lane's queue (servers
+    /// with two or more lanes).
     Steal,
 }
 
@@ -71,12 +71,6 @@ impl FlushReason {
     /// Position in [`FlushReason::ALL`].
     pub fn index(self) -> usize {
         self as usize
-    }
-
-    /// The reason carrying `label`, if it names one (inverse of
-    /// [`FlushReason::label`] — how a trace replay maps span tags back).
-    pub fn from_label(label: &str) -> Option<FlushReason> {
-        FlushReason::ALL.into_iter().find(|r| r.label() == label)
     }
 }
 
@@ -210,6 +204,7 @@ impl Stats {
 
     /// One warmed-up batch execution's relative prediction error
     /// (`|predicted − measured| / measured`).
+    // Public for the tests in crates/serve/tests/telemetry_parity.rs (the `Stats` reference).
     pub fn record_prediction_error(&mut self, predicted: Duration, measured: Duration) {
         if measured.is_zero() {
             return;
@@ -349,6 +344,7 @@ impl ClassReport {
     }
 
     /// Worst latency, milliseconds (exact).
+    // Public for the tests in crates/serve/tests/telemetry_parity.rs.
     pub fn max_ms(&self) -> f64 {
         self.max_ms
     }
@@ -557,6 +553,7 @@ impl ServeReport {
     }
 
     /// `(batch size, count)` pairs in ascending batch-size order.
+    // Public for the tests in crates/serve/tests/{flush,telemetry_parity}.rs.
     pub fn batch_histogram(&self) -> &[(usize, u64)] {
         &self.batch_histogram
     }
@@ -577,6 +574,7 @@ impl ServeReport {
     }
 
     /// Worst request latency, milliseconds (always exact).
+    // Public for the tests in crates/serve/tests/telemetry_parity.rs.
     pub fn max_ms(&self) -> f64 {
         self.max_ms
     }
@@ -666,7 +664,6 @@ mod tests {
         assert_eq!(counts.total(), 5);
         for (i, reason) in FlushReason::ALL.into_iter().enumerate() {
             assert_eq!(reason.index(), i);
-            assert_eq!(FlushReason::from_label(reason.label()), Some(reason));
         }
     }
 

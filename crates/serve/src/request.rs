@@ -68,17 +68,6 @@ pub struct InferRequest {
     pub priority: Priority,
 }
 
-impl InferRequest {
-    /// A normal-priority request due `budget` from now.
-    pub fn with_budget(image: Tensor, budget: Duration) -> Self {
-        Self {
-            image,
-            deadline: Instant::now() + budget,
-            priority: Priority::Normal,
-        }
-    }
-}
-
 /// The served result for one request.
 #[derive(Debug, Clone)]
 pub struct InferResponse {
@@ -143,9 +132,8 @@ pub struct Ticket {
 
 impl Ticket {
     /// Blocks until the response is ready. Consuming the ticket is what
-    /// removes the response from the slot; the borrowing accessors below
-    /// only peek, so any call order of `try_take`/`wait_timeout` followed
-    /// by `wait` observes the response instead of hanging.
+    /// removes the response from the slot; [`Ticket::wait_timeout`] only
+    /// peeks, so calling it before `wait` never makes `wait` hang.
     pub fn wait(self) -> InferResponse {
         let mut slot = self.slot.response.lock().expect("response slot poisoned");
         loop {
@@ -177,17 +165,6 @@ impl Ticket {
                 .expect("response slot poisoned");
             slot = guard;
         }
-    }
-
-    /// Non-blocking peek (cloned, like [`Ticket::wait_timeout`]); `None`
-    /// while the response is pending.
-    pub fn try_take(&self) -> Option<InferResponse> {
-        self.slot
-            .response
-            .lock()
-            .expect("response slot poisoned")
-            .as_ref()
-            .cloned()
     }
 }
 

@@ -14,10 +14,10 @@
 //!    ladder until a level predicts an on-time completion, and — under
 //!    [`SloPolicy::shed_normal`] — are refused with [`SubmitError::Shed`]
 //!    when even the cheapest level predicts a miss. Each service level has
-//!    a *home lane* ([`LaneAssignment`]); the admitted request enters that
-//!    lane's bounded queue (blocking while full — the backpressure that
-//!    makes closed-loop load generation drop-free) and the client gets a
-//!    [`Ticket`] back immediately.
+//!    a *home lane* (level *i* on lane *i* mod the lane count); the
+//!    admitted request enters that lane's bounded queue (blocking while
+//!    full — the backpressure that makes closed-loop load generation
+//!    drop-free) and the client gets a [`Ticket`] back immediately.
 //! 2. Each lane thread accumulates its queued requests into per-level
 //!    pending batches, high-priority first, and is *work-conserving*: a
 //!    full level flushes as [`FlushReason::MaxBatch`], and otherwise the
@@ -25,8 +25,8 @@
 //!    [`FlushReason::Idle`] — the lane was free, so nothing is gained by
 //!    waiting. Requests that arrive while a batch executes queue up and form
 //!    the next batch, so batch size grows with load and no timer is needed.
-//!    A lane with nothing to do *steals*
-//!    ([`StealPolicy`]): it scans the other lanes' queue depths, locks the
+//!    A lane with nothing to do *steals* (whenever the server runs two or
+//!    more lanes): it scans the other lanes' queue depths, locks the
 //!    deepest backlogged victim, takes up to one `max_batch` of requests
 //!    off its front (scheduling order, leaving the victim a batch to form),
 //!    and executes them itself — flushes tagged [`FlushReason::Steal`].
@@ -60,127 +60,37 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Upper clamp applied when [`LaneCount::Auto`] resolves: auto-sizing never
-/// spawns more than this many lanes even on very wide machines (an explicit
-/// [`LaneCount::Fixed`] can still go higher deliberately).
-///
-/// Deliberately far below `heatvit::MAX_AUTO_THREADS` (64): an engine
-/// worker is a cheap scoped thread that lives for one batch, so
-/// over-provisioning costs little, while each lane is a long-lived OS
-/// thread owning a bounded queue, two condvars, and a steal-scan loop —
-/// idle lanes still wake every [`StealPolicy::poll`] to scan the other
-/// lanes' depths, so lane over-provisioning has a standing cost that
-/// worker over-provisioning does not. The two caps are pinned together in
-/// `crates/serve/tests/telemetry_parity.rs`.
-pub const MAX_AUTO_LANES: usize = 8;
+/// How often an idle lane re-scans the other lanes' queue depths for a
+/// backlog worth stealing (only when the server runs two or more lanes).
+const STEAL_POLL: Duration = Duration::from_micros(200);
 
-/// Lane-count policy of a [`ServeConfig`] — how many batcher/executor
-/// threads the server runs.
-///
-/// Like `heatvit::ThreadCount`, `Auto` is *deferred*: the hardware is
-/// queried when the server starts, not when the configuration value is
-/// created.
+/// Lane count of a [`ServeConfig`]: how many batcher/executor threads the
+/// server runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LaneCount {
-    /// Resolve to [`std::thread::available_parallelism`] at server start,
-    /// clamped to `1..=`[`MAX_AUTO_LANES`] (falling back to 1 when
-    /// parallelism cannot be queried).
-    Auto,
     /// Exactly this many lanes. Must be positive.
     Fixed(usize),
 }
 
 impl LaneCount {
-    /// Resolves the policy to a concrete lane count on *this* machine.
+    /// The lane count.
     ///
     /// # Panics
     ///
     /// Panics on `Fixed(0)`.
-    pub fn resolve(self) -> usize {
-        match self {
-            LaneCount::Auto => std::thread::available_parallelism()
-                .ok()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .clamp(1, MAX_AUTO_LANES),
-            LaneCount::Fixed(n) => {
-                assert!(n > 0, "lane count must be positive");
-                n
-            }
-        }
+    fn resolve(self) -> usize {
+        let LaneCount::Fixed(n) = self;
+        assert!(n > 0, "lane count must be positive");
+        n
     }
 }
 
-/// How service levels map onto lanes — which lane is the *home* (admission
-/// target) of each level's traffic.
-///
-/// Per-backend lane assignment is what keeps an int8 level and a float
-/// level from serializing on one batcher: with at least as many lanes as
-/// levels, every backend batches and executes independently, and work
-/// stealing evens out imbalance.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LaneAssignment {
-    /// Level `i` homes on lane `i % lanes` — with `lanes >= levels` every
-    /// backend gets its own lane.
-    RoundRobin,
-    /// `map[level]` is the home lane of `level`. Must name one lane per
-    /// level, each within the resolved lane count.
-    Explicit(Vec<usize>),
-}
-
-impl LaneAssignment {
-    /// The level → home-lane map under `lanes` resolved lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an explicit map does not cover every level or names a lane
-    /// out of range.
-    fn home_map(&self, levels: usize, lanes: usize) -> Vec<usize> {
-        match self {
-            LaneAssignment::RoundRobin => (0..levels).map(|level| level % lanes).collect(),
-            LaneAssignment::Explicit(map) => {
-                assert_eq!(
-                    map.len(),
-                    levels,
-                    "lane assignment must map every service level ({} levels, {} entries)",
-                    levels,
-                    map.len()
-                );
-                for (level, &lane) in map.iter().enumerate() {
-                    assert!(
-                        lane < lanes,
-                        "level {level} assigned to lane {lane}, but only {lanes} lanes exist"
-                    );
-                }
-                map.clone()
-            }
-        }
-    }
-}
-
-/// Work-stealing policy between lanes: what an idle lane does about other
-/// lanes' backlogs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StealPolicy {
-    /// Enables stealing (on by default; irrelevant under one lane).
-    pub enabled: bool,
-    /// How often an idle lane re-scans the other lanes' queue depths for a
-    /// backlog worth stealing.
-    pub poll: Duration,
-    /// A victim keeps at least this many queued requests — stealing only
-    /// takes the surplus beyond it, so the victim can still form a full
-    /// local batch. `None` (the default) keeps one `max_batch`.
-    pub keep_local: Option<usize>,
-}
-
-impl Default for StealPolicy {
-    fn default() -> Self {
-        Self {
-            enabled: true,
-            poll: Duration::from_micros(200),
-            keep_local: None,
-        }
-    }
+/// Home lane (admission target) of service level `level` among `lanes`
+/// lanes: round-robin, so with at least as many lanes as levels every
+/// backend batches and executes on its own lane, and an int8 level and a
+/// float level never serialize on one batcher.
+fn home_lane(level: usize, lanes: usize) -> usize {
+    level % lanes
 }
 
 /// Predictive-admission policy of a [`Server`] (the SLO-aware layer; off by
@@ -223,24 +133,14 @@ pub struct ServeConfig {
     /// waits for space on the request's home lane, [`Server::try_submit`]
     /// returns [`SubmitError::Full`].
     pub queue_capacity: usize,
-    /// Deadline budget given to [`Server::submit_image`] conveniences.
-    pub default_deadline: Duration,
     /// Predictive-admission policy (disabled by default).
     pub slo: SloPolicy,
     /// How many batcher/executor lanes to run (one by default — the
     /// single-batcher behavior of earlier versions).
     pub lanes: LaneCount,
-    /// Which lane each service level's traffic homes on.
-    pub assignment: LaneAssignment,
-    /// Work stealing between idle and backlogged lanes.
-    pub steal: StealPolicy,
     /// Capacity of the bounded request-trace ring ([`SpanRecorder`]): the
     /// newest spans are kept, the oldest evicted (counted as dropped).
     pub trace_capacity: usize,
-    /// Telemetry registry the server records into; `None` builds a private
-    /// one. Pass a shared registry to land serve and engine metrics in one
-    /// exposition.
-    pub telemetry: Option<Arc<Registry>>,
 }
 
 impl Default for ServeConfig {
@@ -248,13 +148,9 @@ impl Default for ServeConfig {
         Self {
             max_batch: 8,
             queue_capacity: 64,
-            default_deadline: Duration::from_millis(50),
             slo: SloPolicy::default(),
             lanes: LaneCount::Fixed(1),
-            assignment: LaneAssignment::RoundRobin,
-            steal: StealPolicy::default(),
             trace_capacity: 4096,
-            telemetry: None,
         }
     }
 }
@@ -264,13 +160,7 @@ impl ServeConfig {
         assert!(self.max_batch > 0, "max_batch must be positive");
         assert!(self.queue_capacity > 0, "queue_capacity must be positive");
         assert!(self.trace_capacity > 0, "trace_capacity must be positive");
-        if let LaneCount::Fixed(n) = self.lanes {
-            assert!(n > 0, "lane count must be positive");
-        }
-        assert!(
-            !self.steal.enabled || !self.steal.poll.is_zero(),
-            "steal poll interval must be positive when stealing is enabled"
-        );
+        self.lanes.resolve();
     }
 }
 
@@ -387,8 +277,6 @@ impl LaneShared {
 struct Shared<M: InferenceModel> {
     /// Service levels, most accurate first; every server has at least one.
     levels: Vec<Level<M>>,
-    /// Home lane of each level ([`LaneAssignment`] resolved).
-    home: Vec<usize>,
     lanes: Vec<LaneShared>,
     latency: Arc<dyn LatencyModel>,
     config: ServeConfig,
@@ -414,16 +302,19 @@ struct Shared<M: InferenceModel> {
 ///
 /// ```
 /// use heatvit::Backend;
-/// use heatvit_serve::{ServeConfig, Server};
+/// use heatvit_serve::{InferRequest, Priority, ServeConfig, Server};
 /// use heatvit_tensor::Tensor;
 /// use heatvit_vit::{ViTConfig, VisionTransformer};
 /// use rand::{rngs::StdRng, SeedableRng};
+/// use std::time::{Duration, Instant};
 ///
 /// let mut rng = StdRng::seed_from_u64(0);
 /// let model = VisionTransformer::new(ViTConfig::test_tiny(3), &mut rng);
 /// let server = Server::start(Backend::from(model), ServeConfig::default());
 /// let image = Tensor::rand_uniform(&[3, 16, 16], 0.0, 1.0, &mut rng);
-/// let ticket = server.submit_image(image).unwrap();
+/// let deadline = Instant::now() + Duration::from_millis(50);
+/// let request = InferRequest { image, deadline, priority: Priority::Normal };
+/// let ticket = server.submit(request).unwrap();
 /// let response = ticket.wait();
 /// assert_eq!(response.logits.dims(), &[1, 3]);
 /// let report = server.shutdown();
@@ -470,7 +361,7 @@ impl<M: InferenceModel + 'static> Server<M> {
     ) -> Self {
         config.validate();
         assert!(!models.is_empty(), "a server needs at least one backend");
-        let registry = config.telemetry.clone().unwrap_or_default();
+        let registry = Registry::new();
         let lane_count = config.lanes.resolve();
         let levels: Vec<Level<M>> = models
             .into_iter()
@@ -501,7 +392,6 @@ impl<M: InferenceModel + 'static> Server<M> {
             );
         }
         let level_count = levels.len();
-        let home = config.assignment.home_map(level_count, lane_count);
         let variants: Vec<String> = levels
             .iter()
             .map(|level| level.engine.model().variant().to_string())
@@ -515,7 +405,6 @@ impl<M: InferenceModel + 'static> Server<M> {
         );
         let shared = Arc::new(Shared {
             levels,
-            home,
             lanes: metrics.lanes.iter().map(LaneShared::new).collect(),
             latency,
             config,
@@ -548,15 +437,6 @@ impl<M: InferenceModel + 'static> Server<M> {
         self.enqueue(request, false)
     }
 
-    /// Submits an image as a normal-priority request due
-    /// [`ServeConfig::default_deadline`] from now (blocking while full).
-    pub fn submit_image(&self, image: Tensor) -> Result<Ticket, SubmitError> {
-        self.submit(InferRequest::with_budget(
-            image,
-            self.shared.config.default_deadline,
-        ))
-    }
-
     /// Picks the service level for an admitted request and its predicted
     /// latency `(level, service µs, total predicted)`; `Err(best)` means
     /// every level predicts a miss (shed candidate, with the cheapest
@@ -585,7 +465,8 @@ impl<M: InferenceModel + 'static> Server<M> {
                 shared
                     .latency
                     .predict_batch(&level.profile, max_batch, level.engine.threads());
-            let wait = Duration::from_micros(shared.lanes[shared.home[index]].inflight_us.get());
+            let home = &shared.lanes[home_lane(index, shared.lanes.len())];
+            let wait = Duration::from_micros(home.inflight_us.get());
             let cost = (svc.as_micros() as u64 / max_batch as u64).max(1);
             (cost, wait + svc)
         };
@@ -643,7 +524,7 @@ impl<M: InferenceModel + 'static> Server<M> {
                 return Err(SubmitError::Shed { request, predicted });
             }
         };
-        let lane_index = shared.home[level];
+        let lane_index = home_lane(level, shared.lanes.len());
         let lane = &shared.lanes[lane_index];
         let mut queue = lane.queue.lock().expect("lane queue poisoned");
         while queue.open && queue.len() >= shared.config.queue_capacity {
@@ -723,24 +604,20 @@ impl<M: InferenceModel + 'static> Server<M> {
         self.shared.levels[0].engine.model()
     }
 
-    /// Number of service levels.
-    pub fn level_count(&self) -> usize {
-        self.shared.levels.len()
-    }
-
-    /// Number of batcher/executor lanes ([`LaneCount::Auto`] already
-    /// resolved).
+    /// Number of batcher/executor lanes.
     pub fn lane_count(&self) -> usize {
         self.shared.lanes.len()
     }
 
-    /// Home lane of service level `index` (per [`LaneAssignment`]).
+    /// Home lane of service level `index`: level *i* homes on lane *i* mod
+    /// the lane count.
     ///
     /// # Panics
     ///
-    /// Panics if `index` is out of range.
+    /// Panics if `index` is not a service level.
     pub fn home_lane(&self, index: usize) -> usize {
-        self.shared.home[index]
+        assert!(index < self.shared.levels.len(), "no service level {index}");
+        home_lane(index, self.shared.lanes.len())
     }
 
     /// Closes the queues, waits for the drain to finish (every accepted
@@ -807,19 +684,19 @@ enum Step {
     Drained,
 }
 
-/// Steals a batch from the deepest backlogged other lane, if any victim's
-/// queue depth exceeds the keep-local threshold. Takes a contiguous run of
+/// Steals a batch from the deepest backlogged other lane, if any victim
+/// holds more than one `max_batch` (the victim keeps that much, so it can
+/// still form a full local batch). Takes a contiguous run of
 /// same-level requests off the victim's front in scheduling order (high
 /// first, FIFO within class — exactly what the victim would have batched
 /// next), capped at one `max_batch`. Holds only the victim's queue lock —
 /// never two lane locks at once, so lanes cannot deadlock stealing from
 /// each other.
 fn try_steal<M: InferenceModel>(shared: &Shared<M>, thief: usize) -> Option<(usize, Vec<Pending>)> {
-    let config = &shared.config;
-    if !config.steal.enabled || shared.lanes.len() < 2 {
+    if shared.lanes.len() < 2 {
         return None;
     }
-    let keep = config.steal.keep_local.unwrap_or(config.max_batch);
+    let keep = shared.config.max_batch;
     let mut best: Option<(usize, usize)> = None;
     for (index, lane) in shared.lanes.iter().enumerate() {
         if index == thief {
@@ -835,7 +712,7 @@ fn try_steal<M: InferenceModel>(shared: &Shared<M>, thief: usize) -> Option<(usi
     let mut queue = victim.queue.lock().expect("lane queue poisoned");
     // Re-check under the lock: the depth scan was advisory.
     let surplus = queue.len().saturating_sub(keep);
-    let take = surplus.min(config.max_batch);
+    let take = surplus.min(keep);
     if take == 0 {
         return None;
     }
@@ -855,7 +732,7 @@ fn try_steal<M: InferenceModel>(shared: &Shared<M>, thief: usize) -> Option<(usi
 fn lane_loop<M: InferenceModel + 'static>(shared: Arc<Shared<M>>, lane_index: usize) {
     let config = &shared.config;
     let lane = &shared.lanes[lane_index];
-    let stealing = config.steal.enabled && shared.lanes.len() > 1;
+    let stealing = shared.lanes.len() > 1;
     let mut pending: Vec<Vec<Pending>> = (0..shared.levels.len()).map(|_| Vec::new()).collect();
     loop {
         let step = {
@@ -895,7 +772,7 @@ fn lane_loop<M: InferenceModel + 'static>(shared: Arc<Shared<M>>, lane_index: us
                     if stealing {
                         drop(
                             lane.arrived
-                                .wait_timeout(queue, config.steal.poll)
+                                .wait_timeout(queue, STEAL_POLL)
                                 .expect("lane queue poisoned"),
                         );
                     } else {
@@ -1104,9 +981,6 @@ mod tests {
     fn fixed_lane_count_resolves_to_itself() {
         assert_eq!(LaneCount::Fixed(3).resolve(), 3);
         assert_eq!(LaneCount::Fixed(1).resolve(), 1);
-        // Auto resolves somewhere in the clamp range on any machine.
-        let auto = LaneCount::Auto.resolve();
-        assert!((1..=MAX_AUTO_LANES).contains(&auto));
     }
 
     #[test]
@@ -1117,32 +991,11 @@ mod tests {
 
     #[test]
     fn round_robin_homes_wrap_over_lanes() {
-        assert_eq!(LaneAssignment::RoundRobin.home_map(3, 2), vec![0, 1, 0]);
-        assert_eq!(LaneAssignment::RoundRobin.home_map(2, 4), vec![0, 1]);
-        assert_eq!(LaneAssignment::RoundRobin.home_map(3, 1), vec![0, 0, 0]);
-        assert_eq!(
-            LaneAssignment::Explicit(vec![1, 1, 0]).home_map(3, 2),
-            vec![1, 1, 0]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "must map every service level")]
-    fn explicit_assignment_must_cover_every_level() {
-        LaneAssignment::Explicit(vec![0]).home_map(2, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "only 2 lanes exist")]
-    fn explicit_assignment_rejects_out_of_range_lanes() {
-        LaneAssignment::Explicit(vec![0, 2]).home_map(2, 2);
-    }
-
-    #[test]
-    fn steal_policy_defaults_keep_one_batch_local() {
-        let policy = StealPolicy::default();
-        assert!(policy.enabled);
-        assert!(policy.keep_local.is_none());
-        assert!(!policy.poll.is_zero());
+        let homes = |levels: usize, lanes: usize| -> Vec<usize> {
+            (0..levels).map(|level| home_lane(level, lanes)).collect()
+        };
+        assert_eq!(homes(3, 2), vec![0, 1, 0]);
+        assert_eq!(homes(2, 4), vec![0, 1]);
+        assert_eq!(homes(3, 1), vec![0, 0, 0]);
     }
 }

@@ -14,12 +14,14 @@ use common::gated;
 use heatvit::{Backend, Engine};
 use heatvit_selector::{PrunedViT, TokenSelector};
 use heatvit_serve::{
-    FlushReason, InferRequest, Priority, ServeConfig, Server, SubmitError, Ticket,
+    metrics, FlushReason, InferRequest, Priority, ServeConfig, Server, SloPolicy, SubmitError,
+    Ticket,
 };
 use heatvit_tensor::Tensor;
 use heatvit_vit::{ViTConfig, VisionTransformer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const FAR_FUTURE: Duration = Duration::from_secs(600);
@@ -159,7 +161,9 @@ fn shutdown_drains_every_queued_request() {
     let reasons: Vec<_> = tickets
         .into_iter()
         .map(|ticket| {
-            let response = ticket.try_take().expect("drained response must be ready");
+            let response = ticket
+                .wait_timeout(Duration::ZERO)
+                .expect("drained response must be ready");
             (response.batch_size, response.flush)
         })
         .collect();
@@ -291,4 +295,73 @@ fn concurrent_submitters_share_one_server() {
         }
     });
     assert_eq!(server.shutdown().completed(), 4);
+}
+
+/// The smallest settings: batches of one and a queue of one. While the lane
+/// holds one batch and one request waits, a non-blocking submit is refused
+/// as `Full` and hands the request back. Once the gate opens every accepted
+/// ticket resolves exactly once, each alone in its batch, and with SLO
+/// admission on the lane's in-flight ledger returns to exactly zero.
+#[test]
+fn unit_batch_and_unit_queue_refuse_when_full_and_settle_the_ledger() {
+    let config = ServeConfig {
+        max_batch: 1,
+        queue_capacity: 1,
+        slo: SloPolicy {
+            enabled: true,
+            ..SloPolicy::default()
+        },
+        ..ServeConfig::default()
+    };
+    let (served, gate) = gated(model(40));
+    let server = Server::start(served, config);
+    let telemetry = Arc::clone(server.telemetry());
+    let imgs = images(41, 3, 16);
+    let running = server
+        .try_submit(request(&imgs[0], FAR_FUTURE))
+        .expect("empty queue");
+    // The lane took the first request and holds it at the gate.
+    gate.wait_entered(1);
+    let queued = server
+        .try_submit(request(&imgs[1], FAR_FUTURE))
+        .expect("one queue slot");
+    match server.try_submit(request(&imgs[2], FAR_FUTURE)) {
+        Err(SubmitError::Full(back)) => assert_eq!(back.image.data(), imgs[2].data()),
+        other => panic!("a full unit queue must refuse, got {other:?}"),
+    }
+    gate.open();
+    for ticket in [running, queued] {
+        let response = ticket.wait();
+        assert_eq!(response.batch_size, 1);
+    }
+    let report = server.shutdown();
+    assert_eq!(report.completed(), 2, "each accepted ticket exactly once");
+    assert_eq!(report.batches(), 2);
+    assert_eq!(report.batch_histogram(), vec![(1, 2)]);
+    let lane = &[("lane", "0")][..];
+    let snap = telemetry.snapshot();
+    assert_eq!(snap.gauge(metrics::names::LANE_INFLIGHT_US, lane), 0);
+}
+
+/// A one-event trace ring keeps only the newest span and counts every
+/// eviction: each served request records a batch span and a request span.
+#[test]
+fn unit_trace_ring_counts_every_eviction() {
+    let config = ServeConfig {
+        trace_capacity: 1,
+        ..ServeConfig::default()
+    };
+    let server = Server::start(model(42), config);
+    let recorder = Arc::clone(server.recorder());
+    for img in &images(43, 4, 16) {
+        let response = server
+            .submit(request(img, FAR_FUTURE))
+            .expect("open")
+            .wait();
+        assert_eq!(response.batch_size, 1);
+    }
+    let report = server.shutdown();
+    assert_eq!(report.batches(), 4);
+    assert_eq!(recorder.len(), 1);
+    assert_eq!(recorder.dropped(), 4 + 4 - 1);
 }

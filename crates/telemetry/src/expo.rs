@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 fn type_of(value: &MetricValue) -> &'static str {
     match value {
         MetricValue::Counter(_) | MetricValue::FloatCounter(_) => "counter",
-        MetricValue::Gauge(_) | MetricValue::FloatGauge(_) => "gauge",
+        MetricValue::Gauge(_) => "gauge",
         MetricValue::Histogram(_) => "histogram",
         MetricValue::Series(_) => "summary",
     }
@@ -64,7 +64,7 @@ pub fn render_prometheus(snapshot: &Snapshot) -> String {
             MetricValue::Gauge(v) => {
                 let _ = writeln!(out, "{name}{} {v}", label_block(&metric.labels, None));
             }
-            MetricValue::FloatCounter(v) | MetricValue::FloatGauge(v) => {
+            MetricValue::FloatCounter(v) => {
                 let _ = writeln!(
                     out,
                     "{name}{} {}",
@@ -142,9 +142,7 @@ pub fn render_json(snapshot: &Snapshot) -> String {
             .str("type", type_of(&metric.value));
         match &metric.value {
             MetricValue::Counter(v) | MetricValue::Gauge(v) => base.int("value", *v),
-            MetricValue::FloatCounter(v) | MetricValue::FloatGauge(v) => {
-                base.raw("value", fmt_f64(*v))
-            }
+            MetricValue::FloatCounter(v) => base.raw("value", fmt_f64(*v)),
             MetricValue::Histogram(h) => base.raw(
                 "value",
                 JsonObject::new()

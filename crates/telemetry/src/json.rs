@@ -20,7 +20,7 @@ use crate::registry::Snapshot;
 
 /// The `--json <path>` report destination from the process arguments, if
 /// requested; panics if `--json` is present without a path.
-pub fn path_from_args() -> Option<std::path::PathBuf> {
+fn path_from_args() -> Option<std::path::PathBuf> {
     let mut args = std::env::args();
     while let Some(arg) = args.next() {
         if arg == "--json" {

@@ -10,7 +10,7 @@
 //! Design rules, in priority order:
 //!
 //! 1. **Hot paths never lock.** Recording into a [`Counter`], [`Gauge`],
-//!    [`FloatCounter`], [`FloatGauge`], or [`Histogram`] is one atomic
+//!    [`FloatCounter`] or [`Histogram`] is one atomic
 //!    operation through an `Arc` handle; the registry mutex is taken only
 //!    at registration and snapshot time. The two deliberate exceptions are
 //!    [`Series`] (an exact percentile reservoir) and [`SpanRecorder`] (an
@@ -51,8 +51,8 @@ mod trace;
 
 pub use expo::{render_json, render_prometheus};
 pub use metrics::{
-    nearest_rank_us, Counter, FloatCounter, FloatGauge, Gauge, Histogram, HistogramSnapshot,
-    Series, SeriesSnapshot, MAX_SERIES_SAMPLES,
+    nearest_rank_us, Counter, FloatCounter, Gauge, Histogram, HistogramSnapshot, Series,
+    SeriesSnapshot, MAX_SERIES_SAMPLES,
 };
 pub use registry::{MetricSnapshot, MetricValue, Registry, Snapshot};
 pub use trace::{BatchSpan, RequestSpan, ShedSpan, SpanRecorder, TraceEvent};

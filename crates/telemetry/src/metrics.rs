@@ -1,6 +1,6 @@
-//! Metric primitives: atomic [`Counter`]/[`FloatCounter`]/[`Gauge`]/
-//! [`FloatGauge`], the fixed-boundary [`Histogram`], and the exact
-//! bounded-reservoir [`Series`].
+//! Metric primitives: atomic [`Counter`]/[`FloatCounter`]/[`Gauge`], the
+//! fixed-boundary [`Histogram`], and the exact bounded-reservoir
+//! [`Series`].
 //!
 //! Everything except [`Series`] records through plain atomics — no lock is
 //! ever taken on a hot path. `Series` is the one deliberately-locked
@@ -114,25 +114,6 @@ impl Gauge {
     }
 }
 
-/// A settable `f64` level (per-epoch loss, throughput) — lock-free via
-/// bit-stored atomics like [`FloatCounter`].
-#[derive(Debug, Default)]
-pub struct FloatGauge {
-    bits: AtomicU64,
-}
-
-impl FloatGauge {
-    /// Stores `v`.
-    pub fn set(&self, v: f64) {
-        self.bits.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-}
-
 /// A fixed-boundary histogram over microsecond observations (lock-free:
 /// one atomic bucket increment plus count/sum/max updates per observation).
 ///
@@ -218,30 +199,6 @@ pub struct HistogramSnapshot {
     pub sum_us: u64,
     /// Exact maximum observation, µs.
     pub max_us: u64,
-}
-
-impl HistogramSnapshot {
-    /// Nearest-rank quantile, resolved to the upper boundary of the bucket
-    /// holding that rank (the exact `max_us` for the overflow bucket; 0
-    /// when empty). `q` in `(0, 1]`.
-    pub fn quantile_us(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (index, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return if index < self.boundaries_us.len() {
-                    self.boundaries_us[index]
-                } else {
-                    self.max_us
-                };
-            }
-        }
-        self.max_us
-    }
 }
 
 /// Hard cap on retained [`Series`] samples: when the reservoir fills, it is
@@ -397,14 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn float_gauge_stores_last_value() {
-        let gauge = FloatGauge::default();
-        gauge.set(1.5);
-        gauge.set(-2.25);
-        assert_eq!(gauge.get(), -2.25);
-    }
-
-    #[test]
     fn concurrent_counter_increments_from_n_threads() {
         // The loom-style interleaving check from the issue: N scoped
         // threads hammer one counter, one float counter, and one gauge
@@ -449,21 +398,6 @@ mod tests {
         assert_eq!(snap.count, 7);
         assert_eq!(snap.sum_us, 2622);
         assert_eq!(snap.max_us, 1001);
-    }
-
-    #[test]
-    fn histogram_quantiles_resolve_to_bucket_upper_bounds() {
-        let hist = Histogram::new(&[10, 100, 1000]);
-        for us in [1, 2, 3, 50, 60, 900, 5000] {
-            hist.observe(us);
-        }
-        let snap = hist.snapshot();
-        // rank(0.5 * 7) = 4 → second bucket → le boundary 100.
-        assert_eq!(snap.quantile_us(0.50), 100);
-        // rank(0.95 * 7) = 7 → overflow bucket → the exact max.
-        assert_eq!(snap.quantile_us(0.95), 5000);
-        assert_eq!(snap.quantile_us(1.0), 5000);
-        assert_eq!(Histogram::new(&[10]).snapshot().quantile_us(0.5), 0);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! exposition formats and the snapshot-derived reports consume.
 
 use crate::metrics::{
-    Counter, FloatCounter, FloatGauge, Gauge, Histogram, HistogramSnapshot, Series, SeriesSnapshot,
+    Counter, FloatCounter, Gauge, Histogram, HistogramSnapshot, Series, SeriesSnapshot,
 };
 use std::sync::{Arc, Mutex};
 
@@ -19,7 +19,6 @@ enum Handle {
     Counter(Arc<Counter>),
     FloatCounter(Arc<FloatCounter>),
     Gauge(Arc<Gauge>),
-    FloatGauge(Arc<FloatGauge>),
     Histogram(Arc<Histogram>),
     Series(Arc<Series>),
 }
@@ -30,7 +29,6 @@ impl Handle {
             Handle::Counter(_) => "counter",
             Handle::FloatCounter(_) => "float counter",
             Handle::Gauge(_) => "gauge",
-            Handle::FloatGauge(_) => "float gauge",
             Handle::Histogram(_) => "histogram",
             Handle::Series(_) => "series",
         }
@@ -121,14 +119,6 @@ impl Registry {
         }
     }
 
-    /// Registers (or looks up) a [`FloatGauge`].
-    pub fn float_gauge(&self, name: &str, labels: &[(&str, &str)], help: &str) -> Arc<FloatGauge> {
-        match self.register(name, labels, help, || Handle::FloatGauge(Arc::default())) {
-            Handle::FloatGauge(g) => g,
-            other => panic!("{name} already registered as a {}", other.kind()),
-        }
-    }
-
     /// Registers (or looks up) a [`Histogram`] over `boundaries_us`.
     pub fn histogram(
         &self,
@@ -168,7 +158,6 @@ impl Registry {
                         Handle::Counter(c) => MetricValue::Counter(c.get()),
                         Handle::FloatCounter(c) => MetricValue::FloatCounter(c.get()),
                         Handle::Gauge(g) => MetricValue::Gauge(g.get()),
-                        Handle::FloatGauge(g) => MetricValue::FloatGauge(g.get()),
                         Handle::Histogram(h) => MetricValue::Histogram(h.snapshot()),
                         Handle::Series(s) => MetricValue::Series(s.snapshot()),
                     },
@@ -195,8 +184,6 @@ pub enum MetricValue {
     FloatCounter(f64),
     /// A [`Gauge`]'s current level.
     Gauge(u64),
-    /// A [`FloatGauge`]'s current level.
-    FloatGauge(f64),
     /// A [`Histogram`]'s buckets and summary stats.
     Histogram(HistogramSnapshot),
     /// A [`Series`]'s retained reservoir.
@@ -273,14 +260,6 @@ impl Snapshot {
         }
     }
 
-    /// A float gauge's level (0.0 when absent).
-    pub fn float_gauge(&self, name: &str, labels: &[(&str, &str)]) -> f64 {
-        match self.get(name, labels).map(|m| &m.value) {
-            Some(MetricValue::FloatGauge(v)) => *v,
-            _ => 0.0,
-        }
-    }
-
     /// A series' reservoir, if registered.
     pub fn series(&self, name: &str, labels: &[(&str, &str)]) -> Option<&SeriesSnapshot> {
         match self.get(name, labels).map(|m| &m.value) {
@@ -345,7 +324,6 @@ mod tests {
         registry.counter("c", &[], "a counter").add(3);
         registry.float_counter("f", &[], "a float sum").add(0.25);
         registry.gauge("g", &[], "a gauge").set(9);
-        registry.float_gauge("fg", &[], "a float gauge").set(1.5);
         registry
             .histogram("h", &[], "a histogram", &[10, 100])
             .observe(7);
@@ -354,7 +332,6 @@ mod tests {
         assert_eq!(snap.counter("c", &[]), 3);
         assert_eq!(snap.float_counter("f", &[]), 0.25);
         assert_eq!(snap.gauge("g", &[]), 9);
-        assert_eq!(snap.float_gauge("fg", &[]), 1.5);
         assert_eq!(snap.histogram("h", &[]).unwrap().count, 1);
         assert_eq!(snap.series("s", &[]).unwrap().samples_us, vec![42]);
         // Absent metrics read as zero, not a panic.

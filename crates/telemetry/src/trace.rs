@@ -122,12 +122,6 @@ impl SpanRecorder {
         inner.events.push_back(event);
     }
 
-    /// Copies the retained events, oldest first (the ring stays intact).
-    pub fn events(&self) -> Vec<TraceEvent> {
-        let inner = self.inner.lock().expect("span recorder poisoned");
-        inner.events.iter().cloned().collect()
-    }
-
     /// Drains the retained events, oldest first.
     pub fn take(&self) -> Vec<TraceEvent> {
         let mut inner = self.inner.lock().expect("span recorder poisoned");
@@ -179,7 +173,7 @@ mod tests {
         assert_eq!(recorder.len(), 3);
         assert_eq!(recorder.dropped(), 2);
         let classes: Vec<usize> = recorder
-            .events()
+            .take()
             .iter()
             .map(|e| match e {
                 TraceEvent::Shed(s) => s.class,

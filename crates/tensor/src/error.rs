@@ -13,10 +13,10 @@ use std::fmt;
 /// # Examples
 ///
 /// ```
-/// use heatvit_tensor::{Tensor, TensorError};
+/// use heatvit_tensor::{Shape, TensorError};
 ///
-/// let err = Tensor::try_from_vec(vec![1.0, 2.0, 3.0], &[2, 2]).unwrap_err();
-/// assert!(matches!(err, TensorError::ElementCountMismatch { .. }));
+/// let err = Shape::try_new(&[]).unwrap_err();
+/// assert!(matches!(err, TensorError::InvalidShape { .. }));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]

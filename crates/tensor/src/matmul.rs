@@ -666,34 +666,47 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics under the same conditions as [`Tensor::matmul`].
-    pub fn matmul_into(&self, rhs: &Tensor, out: &mut Tensor) {
+    fn matmul_into(&self, rhs: &Tensor, out: &mut Tensor) {
         self.matmul_with(rhs, &mut GemmScratch::default(), out);
     }
 
-    /// [`Tensor::matmul_into`] staging the packed operand in a caller-owned
-    /// [`GemmScratch`], so repeated products perform no heap allocation once
-    /// the workspace is warm. Values are bit-identical to every other
-    /// `matmul` entry point.
+    /// [`Tensor::matmul`] writing into a caller-provided output tensor and
+    /// staging the packed operand in a caller-owned [`GemmScratch`], so
+    /// repeated products perform no heap allocation once the workspace is
+    /// warm. `out` is reshaped (reusing its allocation) and overwritten.
+    /// Values are bit-identical to every other `matmul` entry point.
     ///
     /// # Panics
     ///
     /// Panics under the same conditions as [`Tensor::matmul`].
     pub fn matmul_with(&self, rhs: &Tensor, gs: &mut GemmScratch, out: &mut Tensor) {
-        self.matmul_bias_impl(rhs, None, gs, out);
+        assert_eq!(self.rank(), 2, "matmul lhs must be rank 2");
+        assert_eq!(rhs.rank(), 2, "matmul rhs must be rank 2");
+        let (k, k2) = (self.dim(1), rhs.dim(0));
+        assert_eq!(k, k2, "matmul inner dimensions must agree ({k} vs {k2})");
+        out.reset_unspecified(&[self.dim(0), rhs.dim(1)]);
+        matmul_views(
+            self.as_mat(),
+            rhs.as_mat(),
+            None,
+            &mut gs.pack,
+            out.as_mat_mut(),
+        );
     }
 
     /// [`Tensor::matmul_transb`] writing into a caller-provided output
-    /// tensor (see [`Tensor::matmul_into`] for the reuse contract).
+    /// tensor (see `matmul_into` for the reuse contract).
     ///
     /// # Panics
     ///
     /// Panics under the same conditions as [`Tensor::matmul_transb`].
-    pub fn matmul_transb_into(&self, rhs: &Tensor, out: &mut Tensor) {
+    fn matmul_transb_into(&self, rhs: &Tensor, out: &mut Tensor) {
         self.matmul_transb_with(rhs, &mut GemmScratch::default(), out);
     }
 
-    /// [`Tensor::matmul_transb_into`] staging the packed operand in a
-    /// caller-owned [`GemmScratch`] (no allocation once warm).
+    /// [`Tensor::matmul_transb`] into a caller-provided output tensor,
+    /// staging the packed operand in a caller-owned [`GemmScratch`] (no
+    /// allocation once warm).
     ///
     /// # Panics
     ///
@@ -731,7 +744,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics under the same conditions as [`Tensor::matmul_transa`].
-    pub fn matmul_transa_with(&self, rhs: &Tensor, gs: &mut GemmScratch, out: &mut Tensor) {
+    fn matmul_transa_with(&self, rhs: &Tensor, gs: &mut GemmScratch, out: &mut Tensor) {
         assert_eq!(self.rank(), 2, "matmul_transa lhs must be rank 2");
         assert_eq!(rhs.rank(), 2, "matmul_transa rhs must be rank 2");
         let (m, ka) = (self.dim(0), self.dim(1));
@@ -752,115 +765,6 @@ impl Tensor {
         matmul_views(at, rhs.as_mat(), None, pack, out.as_mat_mut());
     }
 
-    /// [`Tensor::matmul_bias`] writing into a caller-provided output tensor
-    /// (see [`Tensor::matmul_into`] for the reuse contract).
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Tensor::matmul_bias`].
-    pub fn matmul_bias_into(&self, rhs: &Tensor, bias: &Tensor, out: &mut Tensor) {
-        self.matmul_bias_with(rhs, bias, &mut GemmScratch::default(), out);
-    }
-
-    /// [`Tensor::matmul_bias_into`] staging the packed operand in a
-    /// caller-owned [`GemmScratch`]. The bias add is fused into the tile
-    /// write-back rather than running as a second pass over the output.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Tensor::matmul_bias`].
-    pub fn matmul_bias_with(
-        &self,
-        rhs: &Tensor,
-        bias: &Tensor,
-        gs: &mut GemmScratch,
-        out: &mut Tensor,
-    ) {
-        assert_eq!(bias.rank(), 1, "bias must be rank 1");
-        self.matmul_bias_impl(rhs, Some(bias.data()), gs, out);
-    }
-
-    fn matmul_bias_impl(
-        &self,
-        rhs: &Tensor,
-        bias: Option<&[f32]>,
-        gs: &mut GemmScratch,
-        out: &mut Tensor,
-    ) {
-        assert_eq!(self.rank(), 2, "matmul lhs must be rank 2");
-        assert_eq!(rhs.rank(), 2, "matmul rhs must be rank 2");
-        let (k, k2) = (self.dim(1), rhs.dim(0));
-        assert_eq!(k, k2, "matmul inner dimensions must agree ({k} vs {k2})");
-        out.reset_unspecified(&[self.dim(0), rhs.dim(1)]);
-        matmul_views(
-            self.as_mat(),
-            rhs.as_mat(),
-            bias,
-            &mut gs.pack,
-            out.as_mat_mut(),
-        );
-    }
-
-    /// Fused `self · rhs + bias` where `bias` is broadcast over rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics on rank/shape mismatch, or if `bias` is not a rank-1 tensor of
-    /// length `rhs.dim(1)`.
-    pub fn matmul_bias(&self, rhs: &Tensor, bias: &Tensor) -> Tensor {
-        let mut out = Tensor::default();
-        self.matmul_bias_into(rhs, bias, &mut out);
-        out
-    }
-
-    /// Batched matrix product for rank-3 tensors: `[B, M, K] · [B, K, N]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the operands are not rank 3, batch sizes differ, or inner
-    /// dimensions do not match.
-    pub fn bmm(&self, rhs: &Tensor) -> Tensor {
-        let mut out = Tensor::default();
-        self.bmm_into(rhs, &mut out);
-        out
-    }
-
-    /// [`Tensor::bmm`] writing into a caller-provided output tensor (see
-    /// [`Tensor::matmul_into`] for the reuse contract).
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Tensor::bmm`].
-    pub fn bmm_into(&self, rhs: &Tensor, out: &mut Tensor) {
-        self.bmm_with(rhs, &mut GemmScratch::default(), out);
-    }
-
-    /// [`Tensor::bmm_into`] staging the packed operands in a caller-owned
-    /// [`GemmScratch`] (one pack buffer reused across the batch).
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Tensor::bmm`].
-    pub fn bmm_with(&self, rhs: &Tensor, gs: &mut GemmScratch, out: &mut Tensor) {
-        assert_eq!(self.rank(), 3, "bmm lhs must be rank 3");
-        assert_eq!(rhs.rank(), 3, "bmm rhs must be rank 3");
-        let (b, m, k) = (self.dim(0), self.dim(1), self.dim(2));
-        let (b2, k2, n) = (rhs.dim(0), rhs.dim(1), rhs.dim(2));
-        assert_eq!(b, b2, "bmm batch sizes must agree");
-        assert_eq!(k, k2, "bmm inner dimensions must agree");
-        out.reset_unspecified(&[b, m, n]);
-        let od = out.data_mut();
-        for bi in 0..b {
-            matmul_views(
-                MatRef::new(&self.data()[bi * m * k..(bi + 1) * m * k], m, k, k),
-                MatRef::new(&rhs.data()[bi * k * n..(bi + 1) * k * n], k, n, n),
-                None,
-                &mut gs.pack,
-                MatMut::new(&mut od[bi * m * n..(bi + 1) * m * n], m, n, n),
-            );
-        }
-    }
-
     /// Transposes a rank-2 tensor.
     ///
     /// # Panics
@@ -878,7 +782,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if the tensor is not rank 2.
-    pub fn transpose2_into(&self, out: &mut Tensor) {
+    fn transpose2_into(&self, out: &mut Tensor) {
         assert_eq!(self.rank(), 2, "transpose2 requires a rank-2 tensor");
         let (m, n) = (self.dim(0), self.dim(1));
         out.reset_unspecified(&[n, m]);
@@ -915,6 +819,14 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// `a · b + bias` through the GEMM's bias epilogue.
+    fn matmul_bias(a: &Tensor, b: &Tensor, bias: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(&[a.dim(0), b.dim(1)]);
+        let (a, b, c) = (a.as_mat(), b.as_mat(), out.as_mat_mut());
+        matmul_views(a, b, Some(bias.data()), &mut Vec::new(), c);
+        out
+    }
+
     fn naive(a: &Tensor, b: &Tensor) -> Tensor {
         let (m, k) = (a.dim(0), a.dim(1));
         let n = b.dim(1);
@@ -927,14 +839,14 @@ mod tests {
     fn matmul_matches_naive() {
         let a = Tensor::from_fn(&[4, 7], |ix| (ix[0] * 7 + ix[1]) as f32 * 0.1);
         let b = Tensor::from_fn(&[7, 3], |ix| (ix[0] as f32 - ix[1] as f32) * 0.2);
-        assert!(a.matmul(&b).allclose(&naive(&a, &b), 1e-5));
+        assert!(a.matmul(&b).max_abs_diff(&naive(&a, &b)) <= 1e-5);
     }
 
     #[test]
     fn identity_is_neutral() {
         let a = Tensor::from_fn(&[3, 3], |ix| (ix[0] + 2 * ix[1]) as f32);
-        assert!(a.matmul(&Tensor::eye(3)).allclose(&a, 0.0));
-        assert!(Tensor::eye(3).matmul(&a).allclose(&a, 0.0));
+        assert!(a.matmul(&Tensor::eye(3)).max_abs_diff(&a) <= 0.0);
+        assert!(Tensor::eye(3).matmul(&a).max_abs_diff(&a) <= 0.0);
     }
 
     #[test]
@@ -962,32 +874,15 @@ mod tests {
         let a = Tensor::ones(&[2, 3]);
         let w = Tensor::eye(3);
         let bias = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]);
-        let out = a.matmul_bias(&w, &bias);
+        let out = matmul_bias(&a, &w, &bias);
         assert_eq!(out.row(0), &[2.0, 3.0, 4.0]);
         assert_eq!(out.row(1), &[2.0, 3.0, 4.0]);
     }
 
     #[test]
-    fn bmm_is_per_batch_matmul() {
-        let a = Tensor::from_fn(&[2, 3, 4], |ix| (ix[0] * 12 + ix[1] * 4 + ix[2]) as f32);
-        let b = Tensor::from_fn(&[2, 4, 2], |ix| (ix[0] + ix[1] + ix[2]) as f32 * 0.5);
-        let out = a.bmm(&b);
-        for bi in 0..2 {
-            let a2 = Tensor::from_fn(&[3, 4], |ix| a.at(&[bi, ix[0], ix[1]]));
-            let b2 = Tensor::from_fn(&[4, 2], |ix| b.at(&[bi, ix[0], ix[1]]));
-            let expect = a2.matmul(&b2);
-            for i in 0..3 {
-                for j in 0..2 {
-                    assert!((out.at(&[bi, i, j]) - expect.at(&[i, j])).abs() < 1e-5);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn transpose_is_involution() {
         let a = Tensor::from_fn(&[3, 5], |ix| (ix[0] * 5 + ix[1]) as f32);
-        assert!(a.transpose2().transpose2().allclose(&a, 0.0));
+        assert!(a.transpose2().transpose2().max_abs_diff(&a) <= 0.0);
     }
 
     #[test]
@@ -1001,7 +896,6 @@ mod tests {
         let a = Tensor::from_fn(&[4, 7], |ix| (ix[0] * 7 + ix[1]) as f32 * 0.1);
         let b = Tensor::from_fn(&[7, 3], |ix| (ix[0] as f32 - ix[1] as f32) * 0.2);
         let bt = b.transpose2();
-        let bias = Tensor::from_vec(vec![0.5, -0.5, 1.0], &[3]);
 
         // Start from a deliberately larger stale buffer: it must be
         // reshaped, fully overwritten, and reused.
@@ -1011,9 +905,6 @@ mod tests {
 
         a.matmul_transb_into(&bt, &mut out);
         assert_eq!(out.data(), a.matmul_transb(&bt).data());
-
-        a.matmul_bias_into(&b, &bias, &mut out);
-        assert_eq!(out.data(), a.matmul_bias(&b, &bias).data());
 
         a.transpose2_into(&mut out);
         assert_eq!(out.data(), a.transpose2().data());
@@ -1025,7 +916,6 @@ mod tests {
         let a = Tensor::rand_normal(&[13, 21], 0.0, 1.0, &mut rng);
         let b = Tensor::rand_normal(&[21, 17], 0.0, 1.0, &mut rng);
         let bt = b.transpose2();
-        let bias = Tensor::rand_normal(&[17], 0.0, 1.0, &mut rng);
         // A stale workspace (NaNs, wrong size) must not leak into a product.
         let mut gs = GemmScratch {
             pack: vec![f32::NAN; 5000],
@@ -1040,24 +930,11 @@ mod tests {
         a.matmul_transb_with(&bt, &mut gs, &mut out);
         assert_eq!(out.data(), a.matmul_transb(&bt).data());
 
-        a.matmul_bias_with(&b, &bias, &mut gs, &mut out);
-        assert_eq!(out.data(), a.matmul_bias(&b, &bias).data());
         assert_eq!(
             gs.pack.capacity(),
             cap,
             "scratch must be reused, not regrown"
         );
-    }
-
-    #[test]
-    fn bmm_into_matches_bmm() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let a = Tensor::rand_normal(&[3, 5, 9], 0.0, 1.0, &mut rng);
-        let b = Tensor::rand_normal(&[3, 9, 6], 0.0, 1.0, &mut rng);
-        let mut out = Tensor::full(&[2, 2], f32::NAN);
-        a.bmm_into(&b, &mut out);
-        assert_eq!(out.dims(), &[3, 5, 6]);
-        assert_eq!(out.data(), a.bmm(&b).data());
     }
 
     #[test]
@@ -1124,7 +1001,7 @@ mod tests {
         let b0 = Tensor::zeros(&[0, 3]);
         assert_eq!(a0.matmul(&b0).data(), &[0.0; 6]);
         let bias = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]);
-        let out = a0.matmul_bias(&b0, &bias);
+        let out = matmul_bias(&a0, &b0, &bias);
         assert_eq!(out.row(0), &[1.0, 2.0, 3.0]);
         assert_eq!(out.row(1), &[1.0, 2.0, 3.0]);
 
@@ -1191,7 +1068,7 @@ mod tests {
             assert_eq!(pack.len(), packed_len(k, n));
             let mut out = Tensor::full(&[m, n], f32::NAN);
             gemm_packed(a.as_mat(), &pack, Some(bias.data()), out.as_mat_mut());
-            assert_eq!(out.data(), a.matmul_bias(&b, &bias).data(), "{m}x{k}x{n}");
+            assert_eq!(out.data(), matmul_bias(&a, &b, &bias).data(), "{m}x{k}x{n}");
         }
     }
 

@@ -78,6 +78,7 @@ pub const EXP_FLUSH: f32 = -87.336_54;
 /// assert!((erf(-1.0) + erf(1.0)).abs() < 1e-6); // odd function
 /// ```
 #[inline]
+// Public for the tests in crates/quant/src/approx.rs: the exact reference of `erf_approx`.
 pub fn erf(x: f32) -> f32 {
     const A1: f32 = 0.254_829_6;
     const A2: f32 = -0.284_496_72;
@@ -117,12 +118,6 @@ pub fn sigmoid(x: f32) -> f32 {
         let e = x.exp();
         e / (1.0 + e)
     }
-}
-
-/// Derivative of the sigmoid: `σ(x)·(1 − σ(x))`.
-pub fn sigmoid_derivative(x: f32) -> f32 {
-    let s = sigmoid(x);
-    s * (1.0 - s)
 }
 
 /// ReLU.
@@ -216,15 +211,6 @@ mod tests {
         for i in -20..=20 {
             let x = i as f32 * 0.3;
             assert!((sigmoid(x) + sigmoid(-x) - 1.0).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn sigmoid_derivative_matches_numeric() {
-        for i in -20..=20 {
-            let x = i as f32 * 0.2;
-            let d = (sigmoid_derivative(x) - numerical_derivative(sigmoid, x)).abs();
-            assert!(d < 1e-3);
         }
     }
 

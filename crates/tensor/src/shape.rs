@@ -6,8 +6,8 @@ use std::fmt;
 /// The shape of a dense row-major tensor.
 ///
 /// A thin wrapper over a dimension list that provides element counting and
-/// row-major stride computation. Tensors in this crate are always contiguous,
-/// so strides are derived rather than stored.
+/// row-major offset computation. Tensors in this crate are always
+/// contiguous, so strides are derived rather than stored.
 ///
 /// # Examples
 ///
@@ -16,7 +16,7 @@ use std::fmt;
 ///
 /// let s = Shape::new(&[2, 3, 4]);
 /// assert_eq!(s.numel(), 24);
-/// assert_eq!(s.strides(), vec![12, 4, 1]);
+/// assert_eq!(s.offset(&[1, 2, 3]), 12 + 2 * 4 + 3);
 /// assert_eq!(s.rank(), 3);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -88,15 +88,6 @@ impl Shape {
         self.dims[axis]
     }
 
-    /// Row-major strides (in elements, not bytes).
-    pub fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![1usize; self.dims.len()];
-        for i in (0..self.dims.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.dims[i + 1];
-        }
-        strides
-    }
-
     /// Flattens a multi-dimensional index into a linear offset.
     ///
     /// # Panics
@@ -122,18 +113,6 @@ impl Shape {
             off = off * d + i;
         }
         off
-    }
-
-    /// Interprets this shape as a matrix `(rows, cols)` by folding all
-    /// leading dimensions into the row count.
-    ///
-    /// This is the canonical view used by the GEMM kernels: a `[B, N, D]`
-    /// activation tensor multiplies a `[D, D']` weight as a `(B*N, D)`
-    /// matrix.
-    pub fn as_matrix(&self) -> (usize, usize) {
-        let cols = *self.dims.last().expect("shape is non-empty");
-        let rows = self.numel() / cols.max(1);
-        (rows, cols)
     }
 }
 
@@ -168,7 +147,9 @@ mod tests {
     #[test]
     fn strides_are_row_major() {
         let s = Shape::new(&[4, 5, 6]);
-        assert_eq!(s.strides(), vec![30, 6, 1]);
+        assert_eq!(s.offset(&[1, 0, 0]), 30);
+        assert_eq!(s.offset(&[0, 1, 0]), 6);
+        assert_eq!(s.offset(&[0, 0, 1]), 1);
     }
 
     #[test]
@@ -184,12 +165,11 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&b| b));
-        // Higher ranks agree with the stride definition.
-        let s = Shape::new(&[4, 5, 6]);
-        let strides = s.strides();
-        let index = [3, 2, 5];
-        let expect: usize = index.iter().zip(&strides).map(|(i, st)| i * st).sum();
-        assert_eq!(s.offset(&index), expect);
+        // Higher ranks agree with the row-major strides [30, 6, 1].
+        assert_eq!(
+            Shape::new(&[4, 5, 6]).offset(&[3, 2, 5]),
+            3 * 30 + 2 * 6 + 5
+        );
     }
 
     #[test]
@@ -206,11 +186,5 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn offset_checks_bounds() {
         Shape::new(&[2, 2]).offset(&[2, 0]);
-    }
-
-    #[test]
-    fn as_matrix_folds_leading_dims() {
-        assert_eq!(Shape::new(&[2, 3, 4]).as_matrix(), (6, 4));
-        assert_eq!(Shape::new(&[5]).as_matrix(), (1, 5));
     }
 }

@@ -16,7 +16,7 @@ use std::fmt;
 /// use heatvit_tensor::Tensor;
 ///
 /// let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-/// let b = Tensor::eye(2);
+/// let b = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]);
 /// let c = a.matmul(&b);
 /// assert_eq!(c.data(), a.data());
 /// ```
@@ -74,8 +74,7 @@ impl Tensor {
     ///
     /// # Panics
     ///
-    /// Panics if `data.len()` does not equal the product of `dims`. Use
-    /// [`Tensor::try_from_vec`] to recover instead.
+    /// Panics if `data.len()` does not equal the product of `dims`.
     pub fn from_vec(data: Vec<f32>, dims: &[usize]) -> Self {
         Self::try_from_vec(data, dims).expect("element count must match shape")
     }
@@ -87,7 +86,7 @@ impl Tensor {
     /// Returns [`TensorError::ElementCountMismatch`] if the data length does
     /// not match the shape, or [`TensorError::InvalidShape`] for an empty
     /// dimension list.
-    pub fn try_from_vec(data: Vec<f32>, dims: &[usize]) -> Result<Self, TensorError> {
+    fn try_from_vec(data: Vec<f32>, dims: &[usize]) -> Result<Self, TensorError> {
         let shape = Shape::try_new(dims)?;
         if data.len() != shape.numel() {
             return Err(TensorError::ElementCountMismatch {
@@ -120,17 +119,13 @@ impl Tensor {
     }
 
     /// Creates the `n × n` identity matrix.
-    pub fn eye(n: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn eye(n: usize) -> Self {
         let mut t = Self::zeros(&[n, n]);
         for i in 0..n {
             t.data[i * n + i] = 1.0;
         }
         t
-    }
-
-    /// Creates a 1-D tensor with values `[0, 1, ..., n-1]`.
-    pub fn arange(n: usize) -> Self {
-        Self::from_vec((0..n).map(|i| i as f32).collect(), &[n])
     }
 
     /// The tensor's shape.
@@ -310,6 +305,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if shapes differ.
+    // Public for the tests of every crate: their tolerance assertions.
     pub fn max_abs_diff(&self, other: &Self) -> f32 {
         assert_eq!(self.shape, other.shape, "max_abs_diff requires same shapes");
         self.data()
@@ -317,15 +313,6 @@ impl Tensor {
             .zip(other.data())
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f32::max)
-    }
-
-    /// `true` if all elements are within `tol` of `other`'s.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn allclose(&self, other: &Self, tol: f32) -> bool {
-        self.max_abs_diff(other) <= tol
     }
 }
 
@@ -383,14 +370,14 @@ mod tests {
 
     #[test]
     fn reshape_preserves_data() {
-        let t = Tensor::arange(6).reshape(&[2, 3]);
+        let t = Tensor::from_fn(&[6], |ix| ix[0] as f32).reshape(&[2, 3]);
         assert_eq!(t.at(&[1, 2]), 5.0);
     }
 
     #[test]
     #[should_panic(expected = "changes element count")]
     fn reshape_rejects_bad_count() {
-        Tensor::arange(6).reshape(&[4, 2]);
+        Tensor::from_fn(&[6], |ix| ix[0] as f32).reshape(&[4, 2]);
     }
 
     #[test]
@@ -412,8 +399,8 @@ mod tests {
     fn allclose_tolerance() {
         let a = Tensor::full(&[3], 1.0);
         let b = Tensor::full(&[3], 1.0 + 1e-6);
-        assert!(a.allclose(&b, 1e-5));
-        assert!(!a.allclose(&b, 1e-8));
+        assert!(a.max_abs_diff(&b) <= 1e-5);
+        assert!(a.max_abs_diff(&b) > 1e-8);
     }
 
     #[test]

@@ -5,7 +5,8 @@ use crate::loss::LatencyWeights;
 /// Hyper-parameters of one [`Trainer`](crate::Trainer) run.
 ///
 /// The defaults mirror the DeiT fine-tuning recipe scaled down to the µDeiT
-/// synthetic experiments: AdamW under a warmup + cosine schedule, a
+/// synthetic experiments: AdamW (weight decay 0.01) under a cosine
+/// schedule with a 10 % linear warmup, reshuffling every epoch, a
 /// distillation temperature of 2 with equal CE/KL weighting, and the Eq. 20
 /// latency-sparsity penalty pulling every selector toward its per-stage keep
 /// target.
@@ -20,10 +21,6 @@ pub struct TrainConfig {
     pub peak_lr: f32,
     /// Floor the cosine schedule decays to.
     pub min_lr: f32,
-    /// Fraction of the total optimizer steps spent in linear warmup.
-    pub warmup_fraction: f32,
-    /// AdamW decoupled weight decay.
-    pub weight_decay: f32,
     /// Distillation temperature `T` (teacher and student logits are softened
     /// by `1/T` inside the KL term).
     pub distill_temperature: f32,
@@ -57,8 +54,6 @@ pub struct TrainConfig {
     /// Maximum random translation (pixels) of the training augmentation;
     /// `0` disables augmentation.
     pub augment_shift: i32,
-    /// Reshuffle the training set every epoch.
-    pub shuffle: bool,
     /// Hard cap on optimizer steps; `None` runs all `epochs`. The smoke
     /// harness (`HEATVIT_TRAIN_STEPS`) uses this to bound CI time — training
     /// stops mid-epoch once the cap is hit and the partial epoch is still
@@ -75,8 +70,6 @@ impl Default for TrainConfig {
             batch_size: 8,
             peak_lr: 1e-2,
             min_lr: 1e-4,
-            warmup_fraction: 0.1,
-            weight_decay: 0.01,
             distill_temperature: 2.0,
             distill_alpha: 0.5,
             target_keep: Vec::new(),
@@ -85,7 +78,6 @@ impl Default for TrainConfig {
             decisiveness_weight: 1.0,
             train_backbone: false,
             augment_shift: 0,
-            shuffle: true,
             max_steps: None,
             seed: 0,
         }
@@ -98,8 +90,7 @@ impl TrainConfig {
     /// # Panics
     ///
     /// Panics if any hyper-parameter is out of range (zero epochs/batch,
-    /// non-positive or inverted learning rates, `warmup_fraction` outside
-    /// `[0, 1)`, non-positive temperature, `distill_alpha` outside `[0, 1]`,
+    /// non-positive or inverted learning rates, non-positive temperature, `distill_alpha` outside `[0, 1]`,
     /// a keep target outside `(0, 1]`, or a negative sparsity weight).
     pub fn validate(&self) {
         assert!(self.epochs > 0, "epochs must be positive");
@@ -108,14 +99,6 @@ impl TrainConfig {
         assert!(
             self.min_lr >= 0.0 && self.min_lr <= self.peak_lr,
             "min lr must be in [0, peak_lr]"
-        );
-        assert!(
-            (0.0..1.0).contains(&self.warmup_fraction),
-            "warmup fraction must be in [0, 1)"
-        );
-        assert!(
-            self.weight_decay >= 0.0,
-            "weight decay must be non-negative"
         );
         assert!(
             self.distill_temperature > 0.0,

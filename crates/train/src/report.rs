@@ -64,15 +64,6 @@ impl PartialEq for TrainReport {
 }
 
 impl TrainReport {
-    /// Mean of the per-selector keep rates (`1.0` without selectors — a
-    /// dense model keeps everything).
-    pub fn overall_keep(&self) -> f32 {
-        if self.mean_keep.is_empty() {
-            return 1.0;
-        }
-        self.mean_keep.iter().sum::<f32>() / self.mean_keep.len() as f32
-    }
-
     /// Header line matching [`TrainReport`]'s `Display` row format.
     pub fn table_header() -> String {
         format!(
@@ -142,15 +133,6 @@ impl TrainRun {
         self.reports.last().expect("a fit produces >= 1 report")
     }
 
-    /// Composed-loss improvement from the first to the last epoch
-    /// (positive = the loss decreased).
-    pub fn loss_improvement(&self) -> f32 {
-        match (self.reports.first(), self.reports.last()) {
-            (Some(first), Some(last)) => first.loss - last.loss,
-            _ => 0.0,
-        }
-    }
-
     /// Per-selector keep rate averaged over the final `window` epochs
     /// (clamped to the number of reports) — a lower-variance estimate of the
     /// converged keep policy than the last epoch alone, since the rank
@@ -203,29 +185,11 @@ mod tests {
     }
 
     #[test]
-    fn overall_keep_averages_selectors_and_defaults_dense() {
-        assert_eq!(report(0, 1.0, vec![]).overall_keep(), 1.0);
-        let r = report(0, 1.0, vec![0.8, 0.6]);
-        assert!((r.overall_keep() - 0.7).abs() < 1e-6);
-    }
-
-    #[test]
     fn display_row_lines_up_with_header() {
         let header = TrainReport::table_header();
         let row = format!("{}", report(3, 1.25, vec![0.71, 0.58]));
         assert!(header.contains("keep-rate"));
         assert!(row.contains("0.710/0.580"));
-    }
-
-    #[test]
-    fn loss_improvement_is_first_minus_last() {
-        let run = TrainRun {
-            reports: vec![report(0, 2.0, vec![]), report(1, 1.2, vec![])],
-            steps: 2,
-            capped: false,
-        };
-        assert!((run.loss_improvement() - 0.8).abs() < 1e-6);
-        assert_eq!(run.last().epoch, 1);
     }
 
     #[test]

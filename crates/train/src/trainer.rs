@@ -4,7 +4,6 @@
 use crate::config::TrainConfig;
 use crate::loss::{distillation_targets, LatencySparsityLoss};
 use crate::report::{TrainReport, TrainRun};
-use heatvit::telemetry::Registry;
 use heatvit::{Engine, InferenceModel};
 use heatvit_data::augment::random_augment;
 use heatvit_data::{Loader, SyntheticDataset};
@@ -14,11 +13,19 @@ use heatvit_selector::PrunedViT;
 use heatvit_vit::{InferScratch, PolicyScratch, TokenPolicy, VisionTransformer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
 
 /// Seed-domain separator so the Gumbel/augmentation stream never collides
 /// with the loader shuffle stream derived from the same user seed.
 const RNG_DOMAIN: u64 = 0x4755_4D42; // "GUMB"
+
+/// Fraction of the total optimizer steps spent in linear warmup.
+const WARMUP_FRACTION: f32 = 0.1;
+
+/// AdamW decoupled weight decay.
+const WEIGHT_DECAY: f32 = 0.01;
+
+/// Every fit reshuffles the training set each epoch.
+const SHUFFLE: bool = true;
 
 /// Accumulates the per-term loss sums of one epoch.
 #[derive(Debug, Default, Clone, Copy)]
@@ -46,14 +53,10 @@ struct EpochSums {
 ///
 /// Both fits are bitwise deterministic in `(config, datasets, model
 /// seed)` — the loader shuffle, Gumbel draws, and augmentation all derive
-/// from [`TrainConfig::seed`], and every step runs on one thread. An
-/// attached telemetry registry (see [`Trainer::with_telemetry`]) is purely
-/// observational: per-epoch loss/keep/throughput gauges are recorded after
-/// each epoch report is built and never feed back into the arithmetic.
+/// from [`TrainConfig::seed`], and every step runs on one thread.
 #[derive(Debug, Clone)]
 pub struct Trainer {
     config: TrainConfig,
-    registry: Option<Arc<Registry>>,
 }
 
 impl Trainer {
@@ -65,19 +68,7 @@ impl Trainer {
     /// [`TrainConfig::validate`]).
     pub fn new(config: TrainConfig) -> Self {
         config.validate();
-        Self {
-            config,
-            registry: None,
-        }
-    }
-
-    /// Attaches a telemetry registry; every fit then records a
-    /// `heatvit_train_*` per-epoch series (loss, validation top-1, mean
-    /// keep, measured throughput) labeled by fit kind and epoch, plus
-    /// epoch/step totals.
-    pub fn with_telemetry(mut self, registry: Arc<Registry>) -> Self {
-        self.registry = Some(registry);
-        self
+        Self { config }
     }
 
     /// The validated configuration.
@@ -85,68 +76,16 @@ impl Trainer {
         &self.config
     }
 
-    /// Records one epoch's report into the attached registry (no-op when
-    /// telemetry is not attached).
-    fn record_epoch(&self, fit: &'static str, report: &TrainReport) {
-        let Some(registry) = &self.registry else {
-            return;
-        };
-        registry
-            .counter(
-                "heatvit_train_epochs_total",
-                &[("fit", fit)],
-                "Epochs completed by this trainer.",
-            )
-            .inc();
-        registry
-            .gauge(
-                "heatvit_train_steps",
-                &[("fit", fit)],
-                "Cumulative optimizer steps executed.",
-            )
-            .set(report.steps);
-        let epoch = report.epoch.to_string();
-        let labels = &[("fit", fit), ("epoch", epoch.as_str())][..];
-        registry
-            .float_gauge(
-                "heatvit_train_loss",
-                labels,
-                "Mean composed objective over the epoch's training samples.",
-            )
-            .set(f64::from(report.loss));
-        registry
-            .float_gauge(
-                "heatvit_train_val_top1",
-                labels,
-                "Validation top-1 accuracy after the epoch.",
-            )
-            .set(f64::from(report.val_top1));
-        registry
-            .float_gauge(
-                "heatvit_train_mean_keep",
-                labels,
-                "Mean hard keep fraction across selectors (1.0 for dense).",
-            )
-            .set(f64::from(report.overall_keep()));
-        registry
-            .float_gauge(
-                "heatvit_train_val_images_per_s",
-                labels,
-                "Measured validation throughput of the epoch (wall-clock).",
-            )
-            .set(report.val_images_per_sec);
-    }
-
     /// Total optimizer steps the run will execute (epochs × batches, capped
     /// by [`TrainConfig::max_steps`]).
-    pub fn planned_steps(&self, train: &SyntheticDataset) -> u64 {
-        let loader = Loader::new(train, self.config.batch_size, self.config.shuffle, 0);
+    fn planned_steps(&self, train: &SyntheticDataset) -> u64 {
+        let loader = Loader::new(train, self.config.batch_size, SHUFFLE, 0);
         let planned = (self.config.epochs * loader.batches_per_epoch()) as u64;
         self.config.max_steps.map_or(planned, |c| planned.min(c))
     }
 
     fn schedule(&self, total_steps: u64) -> CosineSchedule {
-        let warmup = (self.config.warmup_fraction * total_steps as f32).round() as u64;
+        let warmup = (WARMUP_FRACTION * total_steps as f32).round() as u64;
         CosineSchedule::new(
             self.config.peak_lr,
             self.config.min_lr,
@@ -194,22 +133,11 @@ impl Trainer {
             self.config.latency_weights,
         );
 
-        let loader = Loader::new(
-            train,
-            self.config.batch_size,
-            self.config.shuffle,
-            self.config.seed,
-        );
+        let loader = Loader::new(train, self.config.batch_size, SHUFFLE, self.config.seed);
         let total_steps = self.planned_steps(train);
         let planned_uncapped = (self.config.epochs * loader.batches_per_epoch()) as u64;
         let sched = self.schedule(total_steps);
-        let mut opt = AdamW::with_config(
-            self.config.peak_lr,
-            0.9,
-            0.999,
-            1e-8,
-            self.config.weight_decay,
-        );
+        let mut opt = AdamW::with_config(self.config.peak_lr, 0.9, 0.999, 1e-8, WEIGHT_DECAY);
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ RNG_DOMAIN);
         let mut teacher_scratch = InferScratch::default();
 
@@ -301,15 +229,11 @@ impl Trainer {
                     // changes nothing and must not downgrade the caller's
                     // convergence gates.
                     capped = total_steps < planned_uncapped;
-                    let report = self.report_epoch_pruned(model, val, epoch, step, last_lr, &sums);
-                    self.record_epoch("pruned", &report);
-                    reports.push(report);
+                    reports.push(self.report_epoch_pruned(model, val, epoch, step, last_lr, &sums));
                     break 'epochs;
                 }
             }
-            let report = self.report_epoch_pruned(model, val, epoch, step, last_lr, &sums);
-            self.record_epoch("pruned", &report);
-            reports.push(report);
+            reports.push(self.report_epoch_pruned(model, val, epoch, step, last_lr, &sums));
         }
         TrainRun {
             reports,
@@ -370,22 +294,11 @@ impl Trainer {
         train: &SyntheticDataset,
         val: &SyntheticDataset,
     ) -> TrainRun {
-        let loader = Loader::new(
-            train,
-            self.config.batch_size,
-            self.config.shuffle,
-            self.config.seed,
-        );
+        let loader = Loader::new(train, self.config.batch_size, SHUFFLE, self.config.seed);
         let total_steps = self.planned_steps(train);
         let planned_uncapped = (self.config.epochs * loader.batches_per_epoch()) as u64;
         let sched = self.schedule(total_steps);
-        let mut opt = AdamW::with_config(
-            self.config.peak_lr,
-            0.9,
-            0.999,
-            1e-8,
-            self.config.weight_decay,
-        );
+        let mut opt = AdamW::with_config(self.config.peak_lr, 0.9, 0.999, 1e-8, WEIGHT_DECAY);
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ RNG_DOMAIN);
         let mut reports = Vec::with_capacity(self.config.epochs);
         let mut step = 0u64;
@@ -422,15 +335,11 @@ impl Trainer {
                 step += 1;
                 if step >= total_steps {
                     capped = total_steps < planned_uncapped;
-                    let report = report_epoch_dense(model, val, epoch, step, last_lr, &sums);
-                    self.record_epoch("dense", &report);
-                    reports.push(report);
+                    reports.push(report_epoch_dense(model, val, epoch, step, last_lr, &sums));
                     break 'epochs;
                 }
             }
-            let report = report_epoch_dense(model, val, epoch, step, last_lr, &sums);
-            self.record_epoch("dense", &report);
-            reports.push(report);
+            reports.push(report_epoch_dense(model, val, epoch, step, last_lr, &sums));
         }
         TrainRun {
             reports,
@@ -519,7 +428,7 @@ mod tests {
         let (train, val) = tiny_data();
         let mut model = tiny_student(1);
         let before: Vec<Tensor> = model
-            .selector_params()
+            .selector_params_mut()
             .iter()
             .map(|p| p.value().clone())
             .collect();
@@ -534,7 +443,7 @@ mod tests {
         assert!(!run.capped);
         assert_eq!(run.steps, 2 * 3); // 12 samples / batch 4 = 3 batches
         let after: Vec<Tensor> = model
-            .selector_params()
+            .selector_params_mut()
             .iter()
             .map(|p| p.value().clone())
             .collect();
@@ -616,67 +525,11 @@ mod tests {
         let run = Trainer::new(config).fit_dense(&mut model, &train, &val);
         assert_eq!(run.reports.len(), 4);
         assert!(
-            run.loss_improvement() > 0.0,
+            run.reports[0].loss > run.last().loss,
             "dense CE must decrease: {:?}",
             run.reports.iter().map(|r| r.loss).collect::<Vec<_>>()
         );
         assert!(run.last().mean_keep.is_empty());
-    }
-
-    #[test]
-    fn fit_records_per_epoch_telemetry_series() {
-        let (train, val) = tiny_data();
-        let mut model = tiny_student(6);
-        let registry = Registry::new();
-        let run = Trainer::new(tiny_config())
-            .with_telemetry(Arc::clone(&registry))
-            .fit(&mut model, None, &train, &val);
-        let snap = registry.snapshot();
-        assert_eq!(
-            snap.counter("heatvit_train_epochs_total", &[("fit", "pruned")]),
-            2
-        );
-        assert_eq!(
-            snap.gauge("heatvit_train_steps", &[("fit", "pruned")]),
-            run.steps
-        );
-        for (epoch, report) in [("0", &run.reports[0]), ("1", &run.reports[1])] {
-            let labels = &[("fit", "pruned"), ("epoch", epoch)][..];
-            assert_eq!(
-                snap.float_gauge("heatvit_train_loss", labels),
-                f64::from(report.loss)
-            );
-            assert_eq!(
-                snap.float_gauge("heatvit_train_mean_keep", labels),
-                f64::from(report.overall_keep())
-            );
-            assert!(snap.float_gauge("heatvit_train_val_images_per_s", labels) > 0.0);
-        }
-        // The dense fit labels its series separately.
-        let mut rng = StdRng::seed_from_u64(8);
-        let mut dense = VisionTransformer::new(ViTConfig::test_tiny(4), &mut rng);
-        let config = TrainConfig {
-            epochs: 1,
-            batch_size: 4,
-            distill_alpha: 0.0,
-            target_keep: Vec::new(),
-            ..TrainConfig::default()
-        };
-        Trainer::new(config)
-            .with_telemetry(Arc::clone(&registry))
-            .fit_dense(&mut dense, &train, &val);
-        let snap = registry.snapshot();
-        assert_eq!(
-            snap.counter("heatvit_train_epochs_total", &[("fit", "dense")]),
-            1
-        );
-        assert_eq!(
-            snap.float_gauge(
-                "heatvit_train_mean_keep",
-                &[("fit", "dense"), ("epoch", "0")]
-            ),
-            1.0
-        );
     }
 
     #[test]

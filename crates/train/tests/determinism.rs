@@ -49,8 +49,8 @@ fn fit_once(model_seed: u64) -> (PrunedViT, TrainRun) {
 
 #[test]
 fn two_fits_from_the_same_seed_are_bitwise_identical() {
-    let (model_a, run_a) = fit_once(9);
-    let (model_b, run_b) = fit_once(9);
+    let (mut model_a, run_a) = fit_once(9);
+    let (mut model_b, run_b) = fit_once(9);
 
     // Every per-epoch report matches exactly — losses, accuracies, keep
     // rates, learning rates.
@@ -58,8 +58,8 @@ fn two_fits_from_the_same_seed_are_bitwise_identical() {
     assert_eq!(run_a.reports.len(), 3);
 
     // Final selector weights are bitwise identical.
-    let params_a = model_a.selector_params();
-    let params_b = model_b.selector_params();
+    let params_a = model_a.selector_params_mut();
+    let params_b = model_b.selector_params_mut();
     assert_eq!(params_a.len(), params_b.len());
     assert!(!params_a.is_empty());
     for (a, b) in params_a.iter().zip(params_b.iter()) {

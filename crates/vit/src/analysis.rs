@@ -31,6 +31,7 @@ use heatvit_tensor::Tensor;
 /// let y = x.scale(3.0);
 /// assert!((linear_cka(&x, &y) - 1.0).abs() < 1e-5);
 /// ```
+// Kept for ROADMAP item 5: `paper_report` prints the Fig. 5–6 claims with it.
 pub fn linear_cka(x: &Tensor, y: &Tensor) -> f32 {
     assert_eq!(x.rank(), 2, "cka operands must be rank 2");
     assert_eq!(y.rank(), 2, "cka operands must be rank 2");
@@ -59,6 +60,7 @@ pub fn linear_cka(x: &Tensor, y: &Tensor) -> f32 {
 /// [`VisionTransformer::infer_traced`](crate::VisionTransformer::infer_traced);
 /// the result has one entry per block output (entry 0 compares the embedding
 /// output).
+// Kept for ROADMAP item 5: `paper_report` prints the Fig. 5–6 claims with it.
 pub fn cls_alignment_curve(block_tokens: &[Tensor]) -> Vec<f32> {
     assert!(!block_tokens.is_empty(), "empty trace");
     let last = block_tokens.last().unwrap();
@@ -87,6 +89,7 @@ pub fn cls_alignment_curve(block_tokens: &[Tensor]) -> Vec<f32> {
 /// # Panics
 ///
 /// Panics if `map` is not a square rank-2 tensor with at least 2 rows.
+// Kept for ROADMAP item 5: `paper_report` prints the Fig. 5–6 claims with it.
 pub fn cls_attention_over_patches(map: &Tensor) -> Vec<f32> {
     assert_eq!(map.rank(), 2, "attention map must be rank 2");
     assert_eq!(map.dim(0), map.dim(1), "attention map must be square");
@@ -100,7 +103,7 @@ pub fn cls_attention_over_patches(map: &Tensor) -> Vec<f32> {
 }
 
 /// Shannon entropy (nats) of a probability vector.
-pub fn entropy(p: &[f32]) -> f32 {
+fn entropy(p: &[f32]) -> f32 {
     p.iter().filter(|&&v| v > 0.0).map(|&v| -v * v.ln()).sum()
 }
 
@@ -109,6 +112,7 @@ pub fn entropy(p: &[f32]) -> f32 {
 /// # Panics
 ///
 /// Panics if lengths differ.
+// Kept for ROADMAP item 5: `paper_report` prints the Fig. 5–6 claims with it.
 pub fn js_divergence(p: &[f32], q: &[f32]) -> f32 {
     assert_eq!(p.len(), q.len(), "distributions must share support");
     let kl = |a: &[f32], b: &[f32]| -> f32 {
@@ -144,6 +148,7 @@ pub struct HeadDivergence {
 /// # Panics
 ///
 /// Panics if `maps` is empty.
+// Kept for ROADMAP item 5: `paper_report` prints the Fig. 5–6 claims with it.
 pub fn head_divergence(maps: &[Tensor]) -> HeadDivergence {
     assert!(!maps.is_empty(), "no attention maps given");
     let dists: Vec<Vec<f32>> = maps.iter().map(cls_attention_over_patches).collect();

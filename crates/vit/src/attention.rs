@@ -333,9 +333,9 @@ mod tests {
         let xv = tape.constant(x.clone());
         let (out, maps) = m.forward(&mut tape, xv, None, true);
         let (out2, maps2) = m.infer(&x, None);
-        assert!(tape.value(out).allclose(&out2, 1e-5));
+        assert!(tape.value(out).max_abs_diff(&out2) <= 1e-5);
         for (a, b) in maps.unwrap().iter().zip(maps2.iter()) {
-            assert!(a.allclose(b, 1e-5));
+            assert!(a.max_abs_diff(b) <= 1e-5);
         }
     }
 

@@ -158,7 +158,7 @@ mod tests {
         let xv = tape.constant(x.clone());
         let (y, _) = b.forward(&mut tape, xv, None, false);
         let (y2, _) = b.infer(&x, None);
-        assert!(tape.value(y).allclose(&y2, 1e-4));
+        assert!(tape.value(y).max_abs_diff(&y2) <= 1e-4);
     }
 
     #[test]
@@ -181,7 +181,7 @@ mod tests {
         }
         let x = Tensor::rand_normal(&[4, 24], 0.0, 1.0, &mut rng);
         let (y, _) = b.infer(&x, None);
-        assert!(y.allclose(&x, 1e-5));
+        assert!(y.max_abs_diff(&x) <= 1e-5);
     }
 
     #[test]

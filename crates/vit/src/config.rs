@@ -47,43 +47,15 @@ impl ViTConfig {
     }
 
     /// DeiT-small: 12 × (384, 6 heads).
+    // Kept for ROADMAP item 4: the FPGA envelope is checked at DeiT-T/S/B.
     pub fn deit_small() -> Self {
         Self::full_size("DeiT-S", 384, 12, 6)
     }
 
     /// DeiT-base: 12 × (768, 12 heads).
+    // Kept for ROADMAP item 4: the FPGA envelope is checked at DeiT-T/S/B.
     pub fn deit_base() -> Self {
         Self::full_size("DeiT-B", 768, 12, 12)
-    }
-
-    /// LV-ViT-small: 16 × (384, 6 heads).
-    pub fn lv_vit_small() -> Self {
-        Self::full_size("LV-ViT-S", 384, 16, 6)
-    }
-
-    /// LV-ViT-medium: 20 × (512, 8 heads).
-    pub fn lv_vit_medium() -> Self {
-        Self::full_size("LV-ViT-M", 512, 20, 8)
-    }
-
-    /// The width-scaled DeiT baselines the paper trains for the model-scaling
-    /// comparison (embedding dim 160/256/288/320, Section VII-B).
-    ///
-    /// Head counts are chosen to keep the per-head width near DeiT's 64
-    /// (40/64/48/64 respectively) since the paper does not state them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `embed_dim` is not one of 160, 256, 288, 320.
-    pub fn deit_width_variant(embed_dim: usize) -> Self {
-        let heads = match embed_dim {
-            160 => 4,
-            256 => 4,
-            288 => 6,
-            320 => 5,
-            _ => panic!("unsupported width variant {embed_dim}"),
-        };
-        Self::full_size(format!("DeiT-T-{embed_dim}"), embed_dim, 12, heads)
     }
 
     fn full_size(name: impl Into<String>, embed_dim: usize, depth: usize, heads: usize) -> Self {
@@ -129,17 +101,6 @@ impl ViTConfig {
             mlp_ratio: 2,
             num_classes,
         }
-    }
-
-    /// All five full-size backbones evaluated in the paper.
-    pub fn paper_backbones() -> Vec<ViTConfig> {
-        vec![
-            Self::deit_tiny(),
-            Self::deit_small(),
-            Self::deit_base(),
-            Self::lv_vit_small(),
-            Self::lv_vit_medium(),
-        ]
     }
 
     /// Validates internal consistency.
@@ -205,22 +166,19 @@ mod tests {
         assert_eq!((s.num_heads, s.embed_dim, s.depth), (6, 384, 12));
         let b = ViTConfig::deit_base();
         assert_eq!((b.num_heads, b.embed_dim, b.depth), (12, 768, 12));
-        let lvs = ViTConfig::lv_vit_small();
-        assert_eq!((lvs.num_heads, lvs.embed_dim, lvs.depth), (6, 384, 16));
-        let lvm = ViTConfig::lv_vit_medium();
-        assert_eq!((lvm.num_heads, lvm.embed_dim, lvm.depth), (8, 512, 20));
     }
 
     #[test]
     fn all_presets_validate() {
-        for cfg in ViTConfig::paper_backbones() {
+        for cfg in [
+            ViTConfig::deit_tiny(),
+            ViTConfig::deit_small(),
+            ViTConfig::deit_base(),
+        ] {
             cfg.validate();
         }
         ViTConfig::micro(8).validate();
         ViTConfig::test_tiny(4).validate();
-        for w in [160, 256, 288, 320] {
-            ViTConfig::deit_width_variant(w).validate();
-        }
     }
 
     #[test]

@@ -69,6 +69,7 @@ impl From<io::Error> for CheckpointError {
 /// # Errors
 ///
 /// Returns [`CheckpointError::Io`] on write failure.
+// Kept for ROADMAP item 1a: the teacher fixture is written and read with it.
 pub fn save_weights<W: Write>(module: &dyn Module, mut w: W) -> Result<(), CheckpointError> {
     let params = module.params();
     w.write_all(MAGIC)?;
@@ -97,6 +98,7 @@ pub fn save_weights<W: Write>(module: &dyn Module, mut w: W) -> Result<(), Check
 /// Returns [`CheckpointError::BadHeader`] for foreign data and
 /// [`CheckpointError::Mismatch`] if the parameter count or any shape differs
 /// from the target module.
+// Kept for ROADMAP item 1a: the teacher fixture is written and read with it.
 pub fn load_weights<R: Read>(module: &mut dyn Module, mut r: R) -> Result<(), CheckpointError> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
@@ -145,6 +147,7 @@ pub fn load_weights<R: Read>(module: &mut dyn Module, mut r: R) -> Result<(), Ch
 }
 
 /// Serializes a module's weights to a byte vector.
+// Kept for ROADMAP item 1a: the teacher fixture is written and read with it.
 pub fn weights_to_vec(module: &dyn Module) -> Vec<u8> {
     let mut out = Vec::new();
     save_weights(module, &mut out).expect("writing to a Vec cannot fail");
@@ -156,6 +159,7 @@ pub fn weights_to_vec(module: &dyn Module) -> Vec<u8> {
 /// # Errors
 ///
 /// See [`load_weights`].
+// Kept for ROADMAP item 1a: the teacher fixture is written and read with it.
 pub fn weights_from_slice(module: &mut dyn Module, bytes: &[u8]) -> Result<(), CheckpointError> {
     load_weights(module, bytes)
 }
@@ -185,7 +189,7 @@ mod tests {
         let mut other = VisionTransformer::new(ViTConfig::test_tiny(4), &mut rng);
         assert!(other.infer(&image).max_abs_diff(&before) > 1e-3);
         weights_from_slice(&mut other, &bytes).unwrap();
-        assert!(other.infer(&image).allclose(&before, 0.0));
+        assert!(other.infer(&image).max_abs_diff(&before) <= 0.0);
     }
 
     #[test]
